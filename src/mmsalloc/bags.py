@@ -23,17 +23,9 @@ from fractions import Fraction
 from .errors import Exhausted
 from .reduction import ReductionState
 
-LOW_BASE = Fraction(3, 4)
-HIGH_BASE = Fraction(1)
-
-
-def low_threshold(margin: Fraction = Fraction(0)) -> Fraction:
-    """Bag value below which a bag counts as low: 3/4 plus the margin."""
-    return LOW_BASE + margin
-
-def high_threshold(margin: Fraction = Fraction(0)) -> Fraction:
-    """Bag value above which a bag counts as high: 1 plus 3/2 of the margin."""
-    return HIGH_BASE + Fraction(3, 2) * margin
+# A profile's low and high bag values, in units of the working share bound.
+LOW_BAG = Fraction(3, 4)
+HIGH_BAG = Fraction(1)
 
 
 def init_bags(n: int, item_count: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -60,8 +52,8 @@ def init_bags(n: int, item_count: int | None = None) -> tuple[tuple[int, ...], .
 class AgentProfile:
     """How one agent sees the current bag layout.
 
-    low_bags / high_bags count bags strictly below the low threshold and
-    strictly above the high threshold; deficit is the total shortfall of the
+    low_bags / high_bags count bags strictly below LOW_BAG (3/4) and
+    strictly above HIGH_BAG (1); deficit is the total shortfall of the
     low bags; filler_value is the agent's value for everything outside the
     bags.  has_high_bag marks the agent as unbalanced, and needs_rescale
     marks the stronger condition that her working share bound is provably
@@ -79,11 +71,7 @@ class AgentProfile:
     needs_rescale: bool
 
 
-def profile_agent(
-    state: ReductionState, agent: int, margin: Fraction = Fraction(0)
-) -> AgentProfile:
-    low = low_threshold(margin)
-    high = high_threshold(margin)
+def profile_agent(state: ReductionState, agent: int) -> AgentProfile:
     n = len(state.agents)
     items = state.items
     row = state.vals[agent]
@@ -91,9 +79,9 @@ def profile_agent(
     bag_values = [
         sum((row[items[p - 1]] for p in bag), Fraction(0)) for bag in layout
     ]
-    low_vals = [v for v in bag_values if v < low]
-    high_count = sum(1 for v in bag_values if v > high)
-    deficit = sum((low - v for v in low_vals), Fraction(0))
+    low_vals = [v for v in bag_values if v < LOW_BAG]
+    high_count = sum(1 for v in bag_values if v > HIGH_BAG)
+    deficit = sum((LOW_BAG - v for v in low_vals), Fraction(0))
     covered = min(2 * n, len(items))
     filler_value = sum((row[j] for j in items[covered:]), Fraction(0))
     has_high = high_count > 0
@@ -114,8 +102,7 @@ def profile_agent(
 
 
 def agents_needing_rescale(state: ReductionState) -> tuple[int, ...]:
-    """Agents whose profile (at zero margin) demands an upper-bound rescale,
-    ascending by id."""
+    """Agents whose profile demands an upper-bound rescale, ascending by id."""
     return tuple(
         a for a in state.agents if profile_agent(state, a).needs_rescale
     )

@@ -135,9 +135,12 @@ def _cmd_bench(args) -> int:
     if args.trials < 1:
         raise InputError(f"--trials must be >= 1, got {args.trials}")
 
-    out = sys.stdout if args.output in (None, "-") else open(
-        args.output, "w", encoding="utf-8", newline=""
-    )
+    out = sys.stdout
+    if args.output not in (None, "-"):
+        try:
+            out = open(args.output, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(

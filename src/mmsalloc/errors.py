@@ -60,10 +60,6 @@ class BadSpec(InputError):
     """A generator specification string or field is malformed."""
 
 
-class NotRescalable(InputError):
-    """Upper-bound rescaling requested for an agent whose profile does not call for it."""
-
-
 class InvariantViolation(MmsError):
     """An internal guarantee failed; indicates a bug, not bad input."""
 

@@ -19,7 +19,11 @@ only shrink, so qualification only gets harder).
 
 A ``ReductionState`` is single-owner and mutated in place by the operations
 here; they hand the state back for chaining.  The tentative phase snapshots
-the full state first so it can be undone exactly.
+the full state first so it can be undone exactly.  The state reports each
+removal, before making it, through one optional hook that receives the
+event name, its JSON-ready fields and the state itself (the solver's
+rescale diagnostics use the same hook); it copies nothing, so whoever
+listens decides what to keep.
 """
 
 from __future__ import annotations
@@ -65,8 +69,10 @@ class ReductionState:
     removal so it sums exactly to the number of remaining agents (keeping
     each maximin share at most 1 via the average bound).
 
-    An optional ``observer`` callable receives ``(event, payload)`` pairs
-    before each mutation; it must not touch the state.
+    An optional ``observer`` callable receives ``(event, fields, state)``
+    before each removal, with the JSON-ready fields of the event and this
+    state as it still is; it must not touch the state.  Clones start
+    without one.
     """
 
     def __init__(
@@ -83,7 +89,7 @@ class ReductionState:
         }
         self.renormalize = renormalize
         self.log: list[AssignmentRecord] = []
-        self.observer: Callable[[str, dict], None] | None = None
+        self.observer: Callable[[str, dict, ReductionState], None] | None = None
         self._snapshot: ReductionState | None = None
 
     # -- construction and bookkeeping -------------------------------------
@@ -110,7 +116,7 @@ class ReductionState:
         twin.vals = {a: dict(row) for a, row in self.vals.items()}
         twin.renormalize = self.renormalize
         twin.log = list(self.log)
-        twin.observer = self.observer
+        twin.observer = None
         twin._snapshot = None
         return twin
 
@@ -136,9 +142,9 @@ class ReductionState:
         for j in row:
             row[j] *= factor
 
-    def _notify(self, event: str, payload: dict) -> None:
+    def _notify(self, event: str, fields: dict) -> None:
         if self.observer is not None:
-            self.observer(event, payload)
+            self.observer(event, fields, self)
 
     def _renormalize_rows(self) -> None:
         target = Fraction(len(self.agents))
@@ -153,16 +159,7 @@ class ReductionState:
         zeroed = [a for a in self.agents if self.total(a) == 0]
         for a in zeroed:
             self._notify(
-                "reduce",
-                {
-                    "agent": a,
-                    "bundle": (),
-                    "kind": kind,
-                    "shape": ZERO_SHAPE,
-                    "agents": tuple(self.agents),
-                    "items": tuple(self.items),
-                    "vals": {x: dict(self.vals[x]) for x in self.agents},
-                },
+                "reduce", {"kind": kind, "shape": ZERO_SHAPE, "agent": a, "bundle": []}
             )
             self.agents.remove(a)
             del self.vals[a]
@@ -225,16 +222,7 @@ def apply_reduction(
         )
 
     state._notify(
-        "reduce",
-        {
-            "agent": agent,
-            "bundle": bundle,
-            "kind": kind,
-            "shape": shape,
-            "agents": tuple(state.agents),
-            "items": tuple(state.items),
-            "vals": {a: dict(state.vals[a]) for a in state.agents},
-        },
+        "reduce", {"kind": kind, "shape": shape, "agent": agent, "bundle": list(bundle)}
     )
 
     state.agents.remove(agent)
@@ -313,7 +301,6 @@ def undo_tentative(state: ReductionState) -> ReductionState:
         return state
     restored = state._snapshot
     restored.observer = state.observer
-    restored._snapshot = None
     state._snapshot = None
     return restored
 
@@ -328,7 +315,6 @@ def replay(
     a determinism check as well as a reconstruction tool.
     """
     twin = base.clone()
-    twin.observer = None
     for rec in records:
         if rec.shape == ZERO_SHAPE:
             continue

@@ -1,19 +1,26 @@
 """End-to-end allocation pipelines.
 
-Two solvers share the same skeleton: sort items, normalize valuations,
-greedily remove satisfied (agent, bundle) pairs, deal the rest into bags,
-fill the bags, then translate everything back to the original items.
+Both solvers run one pipeline, ``_solve``: sort items, normalize
+valuations, greedily remove satisfied (agent, bundle) pairs, deal the rest
+into end-to-end bags, fill the bags, then translate everything back to the
+original items.  The front ends supply only what differs: which agents
+leave with the empty bundle, the normalizer, the reduction phase, the
+fill threshold, and the shares behind ``per_agent_ratio``.
 
 ``solve_poly34`` guarantees every agent 3/4 of her maximin share without
 ever computing a maximin share: rows are normalized to the average bound
-instead (strongly polynomial).  Whenever the bag profiles prove some
-agent's working bound is overestimated, the tentative removals are rolled
-back, that agent's row is rescaled by the tightest certified bound, and
-the removal phases rerun.
+instead and renormalized after each removal (strongly polynomial).
+Whenever the bag profiles prove some agent's working bound is
+overestimated, the tentative removals are rolled back, that agent's row is
+rescaled by the tightest certified bound, and the removal phases rerun.
 
 ``solve_existence`` computes each agent's exact maximin share first (via
-the branch-and-bound oracle), normalizes by it, and runs the one-shot
-pipeline; with ``plus=True`` the guarantee rises to 3/4 + 1/(12 n).
+the branch-and-bound oracle), normalizes by it, and removes all four
+bundle shapes once; in plus mode the guarantee rises to 3/4 + 1/(12 n).
+
+Each solve reports through one event stream: the records end up in
+``SolveStats.events``, and an optional observer receives each one as it
+is made.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .bags import (
     fill_bags,
     profile_agent,
 )
-from .errors import InputError, InvariantViolation, IterationCapExceeded, NotRescalable
+from .errors import InputError, InvariantViolation, IterationCapExceeded
 from .model import (
     Allocation,
     Instance,
@@ -40,6 +47,7 @@ from .model import (
 )
 from .oracle import DEFAULT_CAP, exact_mms
 from .reduction import (
+    ZERO_SHAPE,
     ReductionState,
     reduce_all_shapes,
     reduce_fixed,
@@ -143,23 +151,18 @@ def update_upper_bound(
     state: ReductionState,
     agent: int,
     held_out: frozenset[int] | set[int] = frozenset(),
-    check_membership: bool = True,
 ) -> Fraction:
     """The tightest certified bound on ``agent``'s maximin share, in (0, 1).
 
-    The caller divides the agent's row by this value.  ``check_membership``
-    re-derives needs_rescale on the given state and raises NotRescalable if
-    it does not hold; the solver disables the check because membership is
-    established on the post-tentative state while the bound is evaluated on
-    the rolled-back one.
+    The caller divides the agent's row by this value.  Whether the agent
+    needs a rescale is not re-checked here: the update loop establishes that
+    on the post-tentative state, while the bound is evaluated on the
+    rolled-back one, where the agent's profile can read differently.
     """
-    if check_membership and not profile_agent(state, agent).needs_rescale:
-        raise NotRescalable(f"agent {agent} does not need a rescale here")
     cands = rescale_candidates(state, agent, held_out)
     if "bag_deficit" not in cands:
         state._notify(
-            "diagnostic",
-            {"note": "rescale target has no low bags", "agent": agent},
+            "diagnostic", {"note": "rescale target has no low bags", "agent": agent}
         )
     alpha = max(cands.values())
     if not 0 < alpha < 1:
@@ -170,19 +173,51 @@ def update_upper_bound(
     return alpha
 
 
+def _reduce_with_updates(
+    state: ReductionState, emit: Callable[..., None]
+) -> tuple[ReductionState, int]:
+    """The reduction phase of ``solve_poly34``: fixed removals, then
+    tentative ones, and while some agent's bag profile proves her working
+    bound too high, undo the tentative phase, rescale her row by the
+    tightest certified bound and run both phases again.  Returns the final
+    state and the number of update-loop iterations.
+
+    The state is fresh, so it holds every active agent and the cap is
+    ``iteration_cap`` of the active count.
+    """
+    count = len(state.agents)
+    cap = iteration_cap(count)
+    iterations = 0
+    while True:
+        reduce_fixed(state)
+        emit("fixed_phase_done", state=state)
+        reduce_tentative(state)
+        pending = agents_needing_rescale(state)
+        if not pending:
+            break
+        iterations += 1
+        if iterations > cap:
+            raise IterationCapExceeded(
+                f"rescale loop passed {cap} iterations for {count} agents"
+            )
+        target = pending[0]
+        held = {j for rec in state.log if rec.kind == "tentative" for j in rec.bundle}
+        state = undo_tentative(state)
+        emit("undo_tentative")
+        bound = update_upper_bound(state, target, held)
+        state.scale_row(target, 1 / bound)
+        emit("rescale", {"agent": target, "bound": str(bound)})
+    emit("finalize_tentative")
+    return state, iterations
+
+
 def _compose_allocation(
-    inst: Instance,
-    view: OrderedView,
-    state: ReductionState,
-    fills: BagFillResult,
-    silent_agents: list[int],
-) -> tuple[Allocation, int]:
+    inst: Instance, view: OrderedView, state: ReductionState, fills: BagFillResult
+) -> Allocation:
     """Merge log + bag assignments over sorted positions, fold leftovers into
-    the last assigned bundle, and lift back to original items.  Returns the
-    lifted allocation (stats unset) and the bag-round count."""
-    assigned: list[tuple[int, tuple[int, ...]]] = [
-        (rec.agent, rec.bundle) for rec in state.log
-    ]
+    the last assigned bundle, and lift back to original items (stats unset).
+    """
+    assigned = [(rec.agent, rec.bundle) for rec in state.log]
     assigned.extend(fills.assignments)
 
     bundles: dict[int, tuple[int, ...]] = {i: () for i in range(inst.n)}
@@ -192,30 +227,90 @@ def _compose_allocation(
     leftovers = fills.leftovers
     leftover_agent = None
     if leftovers:
-        if assigned:
-            leftover_agent = assigned[-1][0]
-        elif silent_agents:
-            leftover_agent = silent_agents[-1]
-        else:
+        if not assigned:
             raise InvariantViolation("leftover items with nobody to take them")
-        bundles[leftover_agent] = tuple(
-            sorted(bundles[leftover_agent] + leftovers)
-        )
+        leftover_agent = assigned[-1][0]
+        bundles[leftover_agent] = tuple(sorted(bundles[leftover_agent] + leftovers))
 
     ordered_alloc = Allocation(
         bundles=tuple(tuple(sorted(bundles[i])) for i in range(inst.n)),
         leftovers=leftovers,
         leftover_agent=leftover_agent,
     )
-    return lift_allocation(inst, view, ordered_alloc), len(fills.assignments)
+    return lift_allocation(inst, view, ordered_alloc)
 
 
-def _stats_from_log(state: ReductionState) -> tuple[int, int]:
-    fixed = sum(1 for r in state.log if r.kind == "fixed" and r.shape != "zero")
-    tentative = sum(
-        1 for r in state.log if r.kind == "tentative" and r.shape != "zero"
-    )
-    return fixed, tentative
+def _solve(
+    inst: Instance,
+    dropped: list[int],
+    normalize: Callable[[Instance], Instance],
+    renormalize: bool,
+    reduce: Callable[[ReductionState, Callable[..., None]], tuple[ReductionState, int]],
+    alpha: Fraction,
+    shares: list[Fraction] | None,
+    observer: Callable[[str, dict], None] | None,
+) -> tuple[Allocation, SolveStats]:
+    """The pipeline both solvers share.
+
+    ``dropped`` lists the agents the empty bundle satisfies, in the order
+    their removals are reported; everyone else is active.  The sorted
+    instance is normalized by ``normalize``, the active agents go through
+    the ``reduce`` phase (which returns the final state and its update-loop
+    iteration count), and whoever is left gets a bag filled to ``alpha``.
+    ``shares`` are the exact shares at the full agent count when the caller
+    has them; they give ``per_agent_ratio``.
+    """
+    records: list[dict] = []
+
+    def emit(event: str, fields: dict | None = None, state: ReductionState | None = None) -> None:
+        # Every event is one JSON-ready record; the observer gets a copy, and
+        # a clone of ``state`` when one comes with the event, so a solve that
+        # nobody observes copies nothing.  This is also the state's hook.
+        record = {"event": event, **(fields or {})}
+        records.append(record)
+        if observer is not None:
+            payload = dict(record)
+            if state is not None:
+                payload["state"] = state.clone()
+            observer(event, payload)
+
+    for i in dropped:
+        emit("reduce", {"kind": "fixed", "shape": ZERO_SHAPE, "agent": i, "bundle": []})
+    active = [i for i in range(inst.n) if i not in dropped]
+
+    iterations = fixed = tentative = bag_rounds = 0
+    if not active:
+        # Nobody needs anything; park the items on the last agent so the
+        # result is still a partition.
+        leftovers = tuple(range(inst.m))
+        bundles = [()] * inst.n
+        if leftovers:
+            bundles[-1] = leftovers
+        alloc = Allocation(tuple(bundles), leftovers, inst.n - 1 if leftovers else None)
+    else:
+        view = order_instance(inst)
+        state = ReductionState.from_instance(
+            normalize(view.ordered), agent_ids=active, renormalize=renormalize
+        )
+        state.observer = emit
+        state, iterations = reduce(state, emit)
+        fills = fill_bags(state, alpha)
+        for row in fills.trace:
+            emit("bag_round", row)
+        alloc = _compose_allocation(inst, view, state, fills)
+        bag_rounds = len(fills.assignments)
+        real = [r for r in state.log if r.shape != ZERO_SHAPE]
+        fixed = sum(1 for r in real if r.kind == "fixed")
+        tentative = sum(1 for r in real if r.kind == "tentative")
+
+    ratios = None
+    if shares is not None:
+        ratios = tuple(
+            None if mu == 0 else inst.bundle_value(i, alloc.bundles[i]) / mu
+            for i, mu in enumerate(shares)
+        )
+    stats = SolveStats(iterations, fixed, tentative, bag_rounds, ratios, tuple(records))
+    return replace(alloc, stats=stats), stats
 
 
 def solve_poly34(
@@ -224,112 +319,23 @@ def solve_poly34(
     """Allocate every item; every agent gets at least 3/4 of her maximin
     share.  Never consults the exact-share oracle.
 
-    ``observer`` receives audit events: each reduction (with a pre-removal
-    snapshot), each completed fixed phase (with a state clone), each rescale,
-    each undo.  Returns (allocation, stats); the allocation also carries the
-    stats on its ``stats`` field.
+    ``observer(event, record)`` receives each record of ``stats.events`` as
+    it is made; a removal arrives with a ``"state"`` clone from before it,
+    and each completed fixed phase with a clone from after it.  Returns
+    (allocation, stats); the allocation also carries the stats on its
+    ``stats`` field.
     """
-    events: list[dict] = []
-
-    def emit(event: str, payload) -> None:
-        if observer is not None:
-            observer(event, payload)
-
-    def on_state_event(event: str, payload: dict) -> None:
-        if event == "reduce":
-            events.append(
-                {
-                    "event": "reduce",
-                    "kind": payload["kind"],
-                    "shape": payload["shape"],
-                    "agent": payload["agent"],
-                    "bundle": list(payload["bundle"]),
-                }
-            )
-        elif event == "diagnostic":
-            events.append({"event": "diagnostic", **payload})
-        emit(event, payload)
-
-    totals = [inst.total(i) for i in range(inst.n)]
-    silent = [i for i, t in enumerate(totals) if t == 0]
-    active = [i for i, t in enumerate(totals) if t > 0]
-    for i in silent:
-        events.append(
-            {"event": "reduce", "kind": "fixed", "shape": "zero", "agent": i, "bundle": []}
-        )
-
-    view = order_instance(inst)
-
-    if not active:
-        # Everyone values everything at zero; park the items on the last
-        # agent so the result is still a partition.
-        bundles = [()] * inst.n
-        leftovers = tuple(range(inst.m))
-        if leftovers:
-            bundles[-1] = leftovers
-        stats = SolveStats(0, 0, 0, 0, None, tuple(events))
-        alloc = Allocation(
-            tuple(bundles),
-            leftovers,
-            inst.n - 1 if leftovers else None,
-            stats,
-        )
-        return alloc, stats
-
-    norm = normalize_average(view.ordered)
-    state = ReductionState.from_instance(norm, agent_ids=active, renormalize=True)
-    state.observer = on_state_event
-
-    reduce_fixed(state)
-    events.append({"event": "fixed_phase_done"})
-    emit("fixed_phase_done", state.clone())
-    reduce_tentative(state)
-
-    cap = iteration_cap(len(active))
-    iterations = 0
-    while True:
-        pending = agents_needing_rescale(state)
-        if not pending:
-            break
-        iterations += 1
-        if iterations > cap:
-            raise IterationCapExceeded(
-                f"rescale loop passed {cap} iterations for {len(active)} agents"
-            )
-        target = pending[0]
-        held = set()
-        for rec in state.log:
-            if rec.kind == "tentative":
-                held.update(rec.bundle)
-        state = undo_tentative(state)
-        events.append({"event": "undo_tentative"})
-        emit("undo_tentative", None)
-        bound = update_upper_bound(state, target, held, check_membership=False)
-        state.scale_row(target, 1 / bound)
-        events.append({"event": "rescale", "agent": target, "bound": str(bound)})
-        emit("rescale", {"agent": target, "bound": bound})
-        reduce_fixed(state)
-        events.append({"event": "fixed_phase_done"})
-        emit("fixed_phase_done", state.clone())
-        reduce_tentative(state)
-
-    events.append({"event": "finalize_tentative"})
-    fills = fill_bags(state, ALPHA_BASE)
-    for row in fills.trace:
-        events.append({"event": "bag_round", **row})
-
-    alloc, bag_rounds = _compose_allocation(inst, view, state, fills, silent)
-    fixed_count, tentative_count = _stats_from_log(state)
-    stats = SolveStats(
-        update_loop_iterations=iterations,
-        fixed_assignments=fixed_count,
-        tentative_assignments=tentative_count,
-        bag_rounds=bag_rounds,
-        per_agent_ratio=None,
-        events=tuple(events),
+    silent = [i for i in range(inst.n) if inst.total(i) == 0]
+    return _solve(
+        inst,
+        silent,
+        normalize_average,
+        renormalize=True,
+        reduce=_reduce_with_updates,
+        alpha=ALPHA_BASE,
+        shares=None,
+        observer=observer,
     )
-    alloc = replace(alloc, stats=stats)
-    return alloc, stats
 
 
 def solve_existence(
@@ -343,107 +349,45 @@ def solve_existence(
     mode selects the guarantee: MODE_BASE gives 3/4 of each share, MODE_PLUS
     gives 3/4 + 1/(12 n).  Shares come from the exact oracle (so the item
     count must fit under ``oracle_cap``).  Stats include per-agent ratios
-    against the original instance.
+    against the original instance.  ``observer`` works as in
+    ``solve_poly34``.
     """
     if mode not in (MODE_BASE, MODE_PLUS):
         raise InputError(f"unknown mode {mode!r}")
-    margin = gamma_constant(inst.n) if mode == MODE_PLUS else Fraction(0)
-    alpha = ALPHA_BASE + margin
-
-    events: list[dict] = []
-
-    def emit(event: str, payload) -> None:
-        if observer is not None:
-            observer(event, payload)
-
-    def on_state_event(event: str, payload: dict) -> None:
-        if event == "reduce":
-            events.append(
-                {
-                    "event": "reduce",
-                    "kind": payload["kind"],
-                    "shape": payload["shape"],
-                    "agent": payload["agent"],
-                    "bundle": list(payload["bundle"]),
-                }
-            )
-        emit(event, payload)
+    alpha = ALPHA_BASE + gamma_constant(inst.n) if mode == MODE_PLUS else ALPHA_BASE
 
     # Exact shares at the current agent count; agents whose share is zero are
     # satisfied by the empty bundle and leave, which can only raise the
     # others' shares, so we recompute until the survivors all have positive
     # shares.  The first pass (at the full count) is kept for honest ratios.
     remaining = list(range(inst.n))
+    dropped: list[int] = []
     first_pass: dict[int, Fraction] = {}
-    shares: dict[int, Fraction] = {}
     while remaining:
-        count = len(remaining)
-        current = {
-            i: exact_mms(inst.values[i], count, cap=oracle_cap).value
+        shares = {
+            i: exact_mms(inst.values[i], len(remaining), cap=oracle_cap).value
             for i in remaining
         }
         if not first_pass:
-            first_pass = dict(current)
-        zeroed = [i for i in remaining if current[i] == 0]
+            first_pass = shares
+        zeroed = [i for i in remaining if shares[i] == 0]
         if not zeroed:
-            shares = current
             break
-        for i in zeroed:
-            events.append(
-                {"event": "reduce", "kind": "fixed", "shape": "zero", "agent": i, "bundle": []}
-            )
-        remaining = [i for i in remaining if current[i] > 0]
+        dropped.extend(zeroed)
+        remaining = [i for i in remaining if shares[i] > 0]
 
-    view = order_instance(inst)
-
-    if not remaining:
-        bundles = [()] * inst.n
-        leftovers = tuple(range(inst.m))
-        if leftovers:
-            bundles[-1] = leftovers
-        ratios = tuple(None for _ in range(inst.n))
-        stats = SolveStats(0, 0, 0, 0, ratios, tuple(events))
-        alloc = Allocation(
-            tuple(bundles),
-            leftovers,
-            inst.n - 1 if leftovers else None,
-            stats,
-        )
-        return alloc, stats
-
-    # Removed agents get a placeholder share of 1; their rows never enter
+    # Dropped agents get a placeholder share of 1; their rows never enter
     # the reduction state anyway.
-    normed = normalize_mms(
-        view.ordered, [shares.get(i, Fraction(1)) for i in range(inst.n)]
-    )
-    state = ReductionState.from_instance(
-        normed, agent_ids=remaining, renormalize=False
-    )
-    state.observer = on_state_event
+    def normalize(ordered: Instance) -> Instance:
+        return normalize_mms(ordered, [shares.get(i, Fraction(1)) for i in range(inst.n)])
 
-    reduce_all_shapes(state, alpha)
-    fills = fill_bags(state, alpha)
-    for row in fills.trace:
-        events.append({"event": "bag_round", **row})
-
-    silent = [i for i in range(inst.n) if i not in remaining]
-    alloc, bag_rounds = _compose_allocation(inst, view, state, fills, silent)
-    fixed_count, _ = _stats_from_log(state)
-
-    ratios: list[Fraction | None] = []
-    for i in range(inst.n):
-        mu = first_pass[i]
-        if mu == 0:
-            ratios.append(None)
-        else:
-            ratios.append(inst.bundle_value(i, alloc.bundles[i]) / mu)
-    stats = SolveStats(
-        update_loop_iterations=0,
-        fixed_assignments=fixed_count,
-        tentative_assignments=0,
-        bag_rounds=bag_rounds,
-        per_agent_ratio=tuple(ratios),
-        events=tuple(events),
+    return _solve(
+        inst,
+        dropped,
+        normalize,
+        renormalize=False,
+        reduce=lambda state, emit: (reduce_all_shapes(state, alpha), 0),
+        alpha=alpha,
+        shares=[first_pass[i] for i in range(inst.n)],
+        observer=observer,
     )
-    alloc = replace(alloc, stats=stats)
-    return alloc, stats

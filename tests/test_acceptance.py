@@ -68,11 +68,11 @@ def sweep():
         n, m, seed = sweep_params(idx)
         inst = gen_instance(make_spec(n, m, "uniform:0:100", seed))
 
-        def observer(event, payload):
+        def observer(event, record):
             if event == "reduce":
-                data.reduce_snaps.append(payload)
+                data.reduce_snaps.append(record)
             elif event == "fixed_phase_done":
-                data.phase_clones.append(payload)
+                data.phase_clones.append(record["state"])
 
         before = oracle.ORACLE_CALLS
         alloc, stats = solve_poly34(inst, observer=observer)
@@ -133,12 +133,13 @@ def test_criterion_3_valid_reductions(sweep):
     for snap in sweep.reduce_snaps:
         if snap["kind"] != "fixed" or snap["shape"] == "zero":
             continue
-        agents = snap["agents"]
+        before = snap["state"]
+        agents = before.agents
         if len(agents) < 2:
             continue  # no survivors, nothing to audit
-        items = snap["items"]
+        items = before.items
         sub = make_instance(
-            [[snap["vals"][i][j] for j in items] for i in agents]
+            [[before.vals[i][j] for j in items] for i in agents]
         )
         pos = {j: p for p, j in enumerate(items)}
         bundle = tuple(pos[j] for j in snap["bundle"])

@@ -7,9 +7,7 @@ import pytest
 from mmsalloc.bags import (
     agents_needing_rescale,
     fill_bags,
-    high_threshold,
     init_bags,
-    low_threshold,
     profile_agent,
 )
 from mmsalloc.errors import Exhausted
@@ -38,14 +36,6 @@ def test_init_bags_truncates_to_item_count():
     assert init_bags(2, item_count=0) == ((), ())
 
 
-def test_thresholds():
-    assert low_threshold(Fraction(0)) == Fraction(3, 4)
-    assert high_threshold(Fraction(0)) == 1
-    g = Fraction(1, 24)
-    assert low_threshold(g) == Fraction(19, 24)
-    assert high_threshold(g) == Fraction(17, 16)
-
-
 def test_profile_classify_example():
     # 6 big items and 28 single-percent fillers; row already sums to 3.00
     row = [73, 68, 37, 36, 30, 28] + [1] * 28
@@ -69,16 +59,6 @@ def test_profile_needs_rescale():
     assert p.filler_value == Fraction(4, 125)
     assert p.needs_rescale is True
     assert agents_needing_rescale(st) == (0, 1, 2)
-
-
-def test_profile_with_margin():
-    row = [73, 68, 37, 36, 30, 28] + [1] * 28
-    st = make_state([row, row, row])
-    p = profile_agent(st, 0, margin=Fraction(1, 12))
-    # low threshold 5/6: only the 0.73 bag is under it; high threshold
-    # 9/8: the 1.01 bag no longer counts
-    assert p.low_bags == 1
-    assert p.high_bags == 0
 
 
 def test_fill_bags_single_agent_takes_fillers():

@@ -209,6 +209,7 @@ def bad_input_cases(tmp_path):
         ["gen", "--n", "0", "--m", "5"],
         ["bench", "--trials", "0"],
         ["bench", "--algorithms", "poly34,quux"],
+        ["bench", "--trials", "1", "--output", str(tmp_path / "no" / "dir" / "x.csv")],
     ]
 
 

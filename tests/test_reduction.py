@@ -193,9 +193,9 @@ def test_fixed_reductions_are_valid_reductions(data):
         return
     snapshots = []
 
-    def observer(event, payload):
+    def observer(event, fields, state):
         if event == "reduce":
-            snapshots.append(payload)
+            snapshots.append({**fields, "state": state.clone()})
 
     view = order_instance(inst)
     st_ = ReductionState.from_instance(
@@ -206,12 +206,13 @@ def test_fixed_reductions_are_valid_reductions(data):
     for snap in snapshots:
         if snap["kind"] != "fixed" or snap["shape"] == "zero":
             continue
-        agents = snap["agents"]
-        items = snap["items"]
+        before = snap["state"]
+        agents = before.agents
+        items = before.items
         if len(agents) < 2:
             continue  # the definition is vacuous for a lone agent
         sub = make_instance(
-            [[snap["vals"][i][j] for j in items] for i in agents]
+            [[before.vals[i][j] for j in items] for i in agents]
         )
         pos = {j: p for p, j in enumerate(items)}
         assert check_valid_reduction(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import mmsalloc.oracle as oracle_mod
-from mmsalloc.errors import InputError, NotRescalable
+from mmsalloc.errors import InputError
 from mmsalloc.generate import gen_instance, make_spec
 from mmsalloc.jsonio import allocation_to_json, dump_json
 from mmsalloc.model import (
@@ -28,6 +28,11 @@ from mmsalloc.solver import (
 from mmsalloc.verify import check_alpha_mms
 
 RESCALE_ROW = [740, 740, 375, 373, 370, 370, 8, 8, 8, 8]
+CASCADE_ROWS = [
+    [700, 500, 400, 340, 250, 250, 150, 150, 100, 80, 50, 20, 10],
+    [740, 740, 375, 374, 372, 372, 5, 5, 5, 5, 5, 1, 1],
+    [1] * 13,
+]
 FIVE_CANDIDATE_ROW = [7400, 7000, 3700, 3600, 3550, 3500] + [96] * 13 + [2]
 
 
@@ -63,16 +68,6 @@ def test_rescale_candidates_all_five():
         "bag_deficit": Fraction(171, 175),
     }
     assert update_upper_bound(st, 0) == Fraction(1874, 1875)
-
-
-def test_update_upper_bound_checks_membership():
-    inst = make_instance([[4, 3, 2, 1], [4, 3, 2, 1]])
-    view = order_instance(inst)
-    st = ReductionState.from_instance(
-        normalize_average(view.ordered), agent_ids=[0, 1]
-    )
-    with pytest.raises(NotRescalable):
-        update_upper_bound(st, 0)
 
 
 def test_rescale_candidates_respect_held_out():
@@ -188,6 +183,46 @@ def test_events_are_json_ready():
     json.dumps(stats.to_json())
 
 
+def solve_plus(inst, observer):
+    return solve_existence(inst, MODE_PLUS, observer=observer)
+
+
+@pytest.mark.parametrize(
+    "rows, solve",
+    [
+        ([RESCALE_ROW] * 3, solve_poly34),
+        (CASCADE_ROWS, solve_plus),
+        ([[4, 4, 2, 2], [7, 0, 0, 0]], solve_plus),
+    ],
+    ids=["poly34-rescale", "plus-cascade", "plus-zero-share"],
+)
+def test_observer_receives_the_event_stream(rows, solve):
+    inst = make_instance(rows)
+    received = []
+
+    def observer(event, record):
+        fingerprint = record["state"].fingerprint() if "state" in record else None
+        received.append((event, record, fingerprint))
+
+    _, stats = solve(inst, observer=observer)
+    assert [event for event, _, _ in received] == [r["event"] for r in stats.events]
+    assert [
+        {k: v for k, v in record.items() if k != "state"} for _, record, _ in received
+    ] == list(stats.events)
+    for index, (event, record, fingerprint) in enumerate(received):
+        # removals and completed fixed phases carry a clone, except the
+        # leading zero-shape removals, which happen before there is a state
+        leading = all(r.get("shape") == "zero" for _, r, _ in received[: index + 1])
+        expects_state = event == "fixed_phase_done" or (event == "reduce" and not leading)
+        assert ("state" in record) == expects_state
+        if "state" in record:
+            clone = record["state"]
+            assert clone.fingerprint() == fingerprint  # later mutation left it alone
+            if event == "reduce":
+                assert record["agent"] in clone.agents
+                assert set(record["bundle"]) <= set(clone.items)
+
+
 def test_existence_base_ratios():
     inst = make_instance([[4, 3, 2, 1], [1, 2, 3, 4]])
     alloc, stats = solve_existence(inst, MODE_BASE)
@@ -260,7 +295,7 @@ def test_update_upper_bound_with_held_out_items():
     )
     # with the top item and best filler held out, the open pair weakens
     # below the top candidate, which becomes the binding bound
-    bound = update_upper_bound(st, 0, {0, 6}, check_membership=False)
+    bound = update_upper_bound(st, 0, {0, 6})
     assert bound == Fraction(74, 75)
     assert rescale_candidates(st, 0, {0, 6})["open_pair"] == Fraction(
         4, 3

@@ -131,9 +131,9 @@ def test_corollary_bounds_single_family_violation():
 def test_corollary_bounds_hold_after_fixed_phase():
     snaps = []
 
-    def observer(name, payload):
+    def observer(name, record):
         if name == "fixed_phase_done":
-            snaps.append(payload)
+            snaps.append(record["state"])
 
     inst = make_instance(
         [
