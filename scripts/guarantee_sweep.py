@@ -23,8 +23,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mmsalloc.cli import ALGORITHMS, _run_algorithm, _target_alpha
+from mmsalloc.cli import ALGORITHMS, run_algorithm, target_alpha
 from mmsalloc.generate import gen_instance, make_spec
+from mmsalloc.oracle import DEFAULT_CAP
 from mmsalloc.verify import check_alpha_mms
 
 
@@ -54,29 +55,37 @@ def parse_args():
         help="comma-separated subset of: " + ",".join(ALGORITHMS),
     )
     ap.add_argument("--worst", type=int, default=3, help="report the K worst trials")
-    return ap.parse_args()
+    args = ap.parse_args()
+    args.names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    for name in args.names:
+        if name not in ALGORITHMS:
+            ap.error(f"unknown algorithm {name!r}")
+    if args.n_min < 1:
+        ap.error(f"--n-min must be >= 1, got {args.n_min}")
+    if args.n_max < args.n_min:
+        ap.error(f"--n-max {args.n_max} is below --n-min {args.n_min}")
+    if args.m_max < args.n_max:
+        ap.error(f"--m-max {args.m_max} is below --n-max {args.n_max}; trials need m >= n")
+    if args.m_max > DEFAULT_CAP:
+        ap.error(f"--m-max {args.m_max} exceeds the oracle's item cap of {DEFAULT_CAP}")
+    return args
 
 
 def main() -> int:
     args = parse_args()
-    names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    for name in names:
-        if name not in ALGORITHMS:
-            ap_err = f"unknown algorithm {name!r}"
-            raise SystemExit(ap_err)
-
+    names = args.names
     tallies = {name: AlgoTally() for name in names}
     for trial in range(args.count):
         seed = args.seed + trial
-        n = args.n_min + trial % (args.n_max - args.n_min + 1)
-        m = n + trial % (args.m_max - n + 1)
+        n = args.n_min + trial % (args.n_max + 1 - args.n_min)
+        m = n + trial % (args.m_max + 1 - n)
         inst = gen_instance(make_spec(n, m, args.dist, seed))
         for name in names:
             tally = tallies[name]
             start = time.perf_counter()
-            alloc, stats = _run_algorithm(name, inst, oracle_cap=24)
+            alloc, stats = run_algorithm(name, inst, oracle_cap=DEFAULT_CAP)
             tally.wall += time.perf_counter() - start
-            target = _target_alpha(name, inst.n)
+            target = target_alpha(name, inst.n)
             report = check_alpha_mms(inst, alloc, target)
             if not report.overall:
                 tally.failures.append(seed)

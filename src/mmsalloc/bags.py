@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Exhausted
+from .errors import InvariantViolation
 from .reduction import ReductionState
 
 # A profile's low and high bag values, in units of the working share bound.
@@ -37,15 +37,22 @@ def init_bags(n: int, item_count: int | None = None) -> tuple[tuple[int, ...], .
     >>> init_bags(3)
     ((1, 6), (2, 5), (3, 4))
     """
-    bags = []
-    for k in range(1, n + 1):
-        bag = tuple(
-            p
-            for p in (k, 2 * n - k + 1)
-            if item_count is None or p <= item_count
-        )
-        bags.append(bag)
-    return tuple(bags)
+    return tuple(
+        tuple(p for p in (k + 1, 2 * n - k) if item_count is None or p <= item_count)
+        for k in range(n)
+    )
+
+
+def bag_layout(
+    state: ReductionState,
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The bags of ``init_bags`` as item-id tuples for the state's remaining
+    agents and items, and the fillers (the items past position 2n, in
+    descending value order)."""
+    n = len(state.agents)
+    items = state.items
+    bags = tuple(tuple(items[p - 1] for p in bag) for bag in init_bags(n, len(items)))
+    return bags, items[min(2 * n, len(items)):]
 
 
 @dataclass(frozen=True)
@@ -72,18 +79,12 @@ class AgentProfile:
 
 
 def profile_agent(state: ReductionState, agent: int) -> AgentProfile:
-    n = len(state.agents)
-    items = state.items
-    row = state.vals[agent]
-    layout = init_bags(n, len(items))
-    bag_values = [
-        sum((row[items[p - 1]] for p in bag), Fraction(0)) for bag in layout
-    ]
+    bags, fillers = bag_layout(state)
+    bag_values = [state.bundle_value(agent, bag) for bag in bags]
     low_vals = [v for v in bag_values if v < LOW_BAG]
     high_count = sum(1 for v in bag_values if v > HIGH_BAG)
     deficit = sum((LOW_BAG - v for v in low_vals), Fraction(0))
-    covered = min(2 * n, len(items))
-    filler_value = sum((row[j] for j in items[covered:]), Fraction(0))
+    filler_value = state.bundle_value(agent, fillers)
     has_high = high_count > 0
     needs = (
         has_high
@@ -122,17 +123,12 @@ def fill_bags(state: ReductionState, alpha: Fraction) -> BagFillResult:
 
     Round k starts from bag k and adds fillers (largest value first) until a
     remaining agent values the bag at or above alpha; the lowest-indexed such
-    agent takes it.  Raises Exhausted if the fillers run dry with nobody
-    satisfied, which signals a broken precondition upstream, never an
+    agent takes it.  Raises InvariantViolation if the fillers run dry with
+    nobody satisfied, which signals a broken precondition upstream, never an
     expected outcome.
     """
     agents = list(state.agents)
-    items = list(state.items)
-    n = len(agents)
-    layout = init_bags(n, len(items))
-    bags = [tuple(items[p - 1] for p in bag) for bag in layout]
-    covered = min(2 * n, len(items))
-    fillers = list(items[covered:])  # ascending id == descending value
+    bags, fillers = bag_layout(state)
 
     assignments = []
     trace = []
@@ -147,7 +143,7 @@ def fill_bags(state: ReductionState, alpha: Fraction) -> BagFillResult:
             if quals:
                 break
             if next_filler >= len(fillers):
-                raise Exhausted(
+                raise InvariantViolation(
                     f"round {rnd}: no filler left and no agent accepts {bundle}"
                 )
             extra = fillers[next_filler]

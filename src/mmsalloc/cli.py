@@ -63,7 +63,8 @@ def _write_text(path: str | None, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _run_algorithm(name: str, inst, oracle_cap: int):
+def run_algorithm(name: str, inst, oracle_cap: int):
+    """Run the allocator named by ``name`` (one of ALGORITHMS)."""
     if name == "poly34":
         return solve_poly34(inst)
     if name == "exist34":
@@ -73,7 +74,8 @@ def _run_algorithm(name: str, inst, oracle_cap: int):
     raise InputError(f"unknown algorithm {name!r}")
 
 
-def _target_alpha(name: str, n: int) -> Fraction:
+def target_alpha(name: str, n: int) -> Fraction:
+    """The guarantee fraction the named allocator promises for n agents."""
     if name == "exist34plus":
         return ALPHA_BASE + gamma_constant(n)
     return ALPHA_BASE
@@ -81,12 +83,12 @@ def _target_alpha(name: str, n: int) -> Fraction:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(_read_text(args.input))
-    alloc, _stats = _run_algorithm(args.algorithm, inst, args.oracle_cap)
+    alloc, _stats = run_algorithm(args.algorithm, inst, args.oracle_cap)
     envelope = allocation_to_json(alloc)
     ok = True
     if args.verify:
         report = check_alpha_mms(
-            inst, alloc, _target_alpha(args.algorithm, inst.n), args.oracle_cap
+            inst, alloc, target_alpha(args.algorithm, inst.n), args.oracle_cap
         )
         envelope["verify"] = report.to_json()
         ok = report.overall
@@ -161,10 +163,10 @@ def _cmd_bench(args) -> int:
             inst = gen_instance(make_spec(args.n, args.m, args.dist, seed))
             for name in names:
                 start = time.perf_counter()
-                alloc, stats = _run_algorithm(name, inst, args.oracle_cap)
+                alloc, stats = run_algorithm(name, inst, args.oracle_cap)
                 wall = time.perf_counter() - start
                 report = check_alpha_mms(
-                    inst, alloc, _target_alpha(name, inst.n), args.oracle_cap
+                    inst, alloc, target_alpha(name, inst.n), args.oracle_cap
                 )
                 ratios = [r.ratio for r in report.per_agent if r.ratio is not None]
                 min_ratio = str(min(ratios)) if ratios else "NA"

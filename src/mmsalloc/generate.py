@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import BadSpec
+from .errors import InputError
 from .model import Instance, make_instance
 
 KINDS = ("uniform", "correlated", "identical")
@@ -37,21 +37,21 @@ class GenSpec:
 
     def validate(self) -> None:
         if self.n < 1:
-            raise BadSpec(f"agent count must be >= 1, got {self.n}")
+            raise InputError(f"agent count must be >= 1, got {self.n}")
         if self.m < 0:
-            raise BadSpec(f"item count must be >= 0, got {self.m}")
+            raise InputError(f"item count must be >= 0, got {self.m}")
         if self.kind not in KINDS:
-            raise BadSpec(f"unknown distribution {self.kind!r}")
+            raise InputError(f"unknown distribution {self.kind!r}")
         if self.lo < 0:
-            raise BadSpec(f"value range must be nonnegative, got lo={self.lo}")
+            raise InputError(f"value range must be nonnegative, got lo={self.lo}")
         if self.lo > self.hi:
-            raise BadSpec(f"empty value range [{self.lo}, {self.hi}]")
+            raise InputError(f"empty value range [{self.lo}, {self.hi}]")
         if self.noise < 0:
-            raise BadSpec(f"noise must be >= 0, got {self.noise}")
+            raise InputError(f"noise must be >= 0, got {self.noise}")
         if self.kind != "correlated" and self.noise != 0:
-            raise BadSpec(f"noise only applies to correlated, got {self.kind!r}")
+            raise InputError(f"noise only applies to correlated, got {self.kind!r}")
         if not 0 <= self.seed < 2**64:
-            raise BadSpec("seed must fit in 64 unsigned bits")
+            raise InputError("seed must fit in 64 unsigned bits")
 
     def dist_string(self) -> str:
         if self.kind == "correlated":
@@ -66,14 +66,14 @@ def parse_dist(text: str) -> tuple[str, int, int, int]:
     kind = parts[0]
     want = 4 if kind == "correlated" else 3
     if kind not in KINDS or len(parts) != want:
-        raise BadSpec(
+        raise InputError(
             f"bad distribution {text!r}: expected uniform:LO:HI, "
             f"correlated:LO:HI:NOISE, or identical:LO:HI"
         )
     try:
         nums = [int(p) for p in parts[1:]]
     except ValueError as exc:
-        raise BadSpec(f"bad distribution {text!r}: non-integer bound") from exc
+        raise InputError(f"bad distribution {text!r}: non-integer bound") from exc
     lo, hi = nums[0], nums[1]
     noise = nums[2] if kind == "correlated" else 0
     return kind, lo, hi, noise

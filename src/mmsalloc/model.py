@@ -11,15 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    EmptyAgents,
-    IncompleteAllocation,
-    InputError,
-    NegativeValue,
-    NonPositiveScale,
-    RaggedMatrix,
-    ZeroMMS,
-)
+from .errors import InputError
 
 
 def as_rational(x) -> Fraction:
@@ -81,24 +73,22 @@ class Instance:
 def make_instance(values: Sequence[Sequence]) -> Instance:
     """Validate and freeze a valuation matrix.
 
-    Entries may be ints, Fractions, or exact strings.  Raises EmptyAgents,
-    RaggedMatrix, or NegativeValue when the matrix is unusable.
+    Entries may be ints, Fractions, or exact strings.  Raises InputError
+    when the matrix is empty, ragged, or has a negative entry.
     """
     rows = [list(row) for row in values]
     if not rows:
-        raise EmptyAgents("an instance needs at least one agent")
+        raise InputError("an instance needs at least one agent")
     width = len(rows[0])
     out = []
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise RaggedMatrix(
-                f"row {i} has {len(row)} entries, expected {width}"
-            )
+            raise InputError(f"row {i} has {len(row)} entries, expected {width}")
         conv = []
         for j, entry in enumerate(row):
             v = as_rational(entry)
             if v < 0:
-                raise NegativeValue(f"values[{i}][{j}] = {v} is negative")
+                raise InputError(f"values[{i}][{j}] = {v} is negative")
             conv.append(v)
         out.append(tuple(conv))
     return Instance(tuple(out))
@@ -159,19 +149,17 @@ def lift_allocation(inst: Instance, view: OrderedView, alloc: Allocation) -> All
     agent ends up with a bundle she values at least as much as her bundle in
     the sorted view.  Runs in O(n*m).
 
-    Raises IncompleteAllocation unless the input bundles partition all items.
+    Raises InputError unless the input bundles partition all items.
     """
     n, m = inst.n, inst.m
     owner = [-1] * m
     for agent, bundle in enumerate(alloc.bundles):
         for pos in bundle:
             if not 0 <= pos < m or owner[pos] != -1:
-                raise IncompleteAllocation(
-                    f"position {pos} is missing or assigned twice"
-                )
+                raise InputError(f"position {pos} is missing or assigned twice")
             owner[pos] = agent
     if any(o == -1 for o in owner):
-        raise IncompleteAllocation("some positions were never assigned")
+        raise InputError("some positions were never assigned")
 
     taken = [False] * m
     cursor = [0] * n
@@ -198,30 +186,13 @@ def lift_allocation(inst: Instance, view: OrderedView, alloc: Allocation) -> All
     )
 
 
-def scale_agent(inst: Instance, agent: int, factor) -> Instance:
-    """Multiply one agent's whole row by a positive rational."""
-    c = as_rational(factor)
-    if c <= 0:
-        raise NonPositiveScale(f"scale factor must be positive, got {c}")
-    if not 0 <= agent < inst.n:
-        raise InputError(f"no agent {agent} in an instance with n={inst.n}")
-    rows = list(inst.values)
-    rows[agent] = tuple(v * c for v in rows[agent])
-    return Instance(tuple(rows))
-
-
-def zero_value_agents(inst: Instance) -> tuple[int, ...]:
-    """Agents whose entire row sums to zero; any bundle satisfies them."""
-    return tuple(i for i in range(inst.n) if inst.total(i) == 0)
-
-
 def normalize_average(inst: Instance) -> Instance:
     """Rescale every row so it sums to the number of agents.
 
     After this, each agent's maximin share is at most 1 (she cannot make
     every one of n bundles worth more than the average).  Rows that sum to
-    zero cannot be rescaled and are left untouched; use zero_value_agents
-    to find them.
+    zero cannot be rescaled and are left untouched; any bundle satisfies
+    such an agent.
     """
     n = inst.n
     rows = []
@@ -238,7 +209,7 @@ def normalize_average(inst: Instance) -> Instance:
 def normalize_mms(inst: Instance, shares: Sequence) -> Instance:
     """Divide each row by that agent's maximin share, making every share 1.
 
-    Raises ZeroMMS when any supplied share is not strictly positive.
+    Raises InputError when any supplied share is not strictly positive.
     """
     if len(shares) != inst.n:
         raise InputError(
@@ -248,6 +219,6 @@ def normalize_mms(inst: Instance, shares: Sequence) -> Instance:
     for i in range(inst.n):
         mu = as_rational(shares[i])
         if mu <= 0:
-            raise ZeroMMS(f"agent {i} share {mu} is not positive")
+            raise InputError(f"agent {i} share {mu} is not positive")
         rows.append(tuple(v / mu for v in inst.values[i]))
     return Instance(tuple(rows))

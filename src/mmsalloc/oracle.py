@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadPartition, NegativeValue, TooLarge, ZeroBundles
+from .errors import InputError
 from .model import as_rational
 
 # Module-level call counter.  Cheap instrumentation so callers (and the test
@@ -41,32 +41,6 @@ class MmsResult:
 
     value: Fraction
     partition: tuple[tuple[int, ...], ...]
-
-
-def average_bound(values: Sequence, k: int) -> Fraction:
-    """Total value divided by k; an upper bound on the maximin share."""
-    if k < 1:
-        raise ZeroBundles(f"bundle count must be >= 1, got {k}")
-    vals = [as_rational(v) for v in values]
-    return sum(vals, Fraction(0)) / k
-
-
-def partition_min(values: Sequence, partition: Sequence[Sequence[int]]) -> Fraction:
-    """Minimum bundle sum of a partition; validates exact coverage."""
-    vals = [as_rational(v) for v in values]
-    seen = [False] * len(vals)
-    for bundle in partition:
-        for j in bundle:
-            if not 0 <= j < len(vals) or seen[j]:
-                raise BadPartition(f"item {j} missing or repeated")
-            seen[j] = True
-    if not all(seen):
-        raise BadPartition("partition does not cover every item")
-    if not partition:
-        raise BadPartition("empty partition")
-    return min(
-        sum((vals[j] for j in bundle), Fraction(0)) for bundle in partition
-    )
 
 
 def _fill_level(loads: list[int], budget: int) -> int:
@@ -92,7 +66,7 @@ def _fill_level(loads: list[int], budget: int) -> int:
 def exact_mms(values: Sequence, k: int, cap: int = DEFAULT_CAP) -> MmsResult:
     """Exact maximin share of `values` over k bundles, with a witness.
 
-    Refuses instances with more than `cap` items (TooLarge): the search is
+    Refuses instances with more than `cap` items (InputError): the search is
     exponential in the worst case and the cap keeps misuse loud.  Zero-value
     items are placed without branching; only positive items are searched.
 
@@ -103,14 +77,14 @@ def exact_mms(values: Sequence, k: int, cap: int = DEFAULT_CAP) -> MmsResult:
     ORACLE_CALLS += 1
 
     if k < 1:
-        raise ZeroBundles(f"bundle count must be >= 1, got {k}")
+        raise InputError(f"bundle count must be >= 1, got {k}")
     vals = [as_rational(v) for v in values]
     for j, v in enumerate(vals):
         if v < 0:
-            raise NegativeValue(f"values[{j}] = {v} is negative")
+            raise InputError(f"values[{j}] = {v} is negative")
     m = len(vals)
     if m > cap:
-        raise TooLarge(f"{m} items exceeds the search cap of {cap}")
+        raise InputError(f"{m} items exceeds the search cap of {cap}")
 
     # Work on integers: scale by the common denominator, divide back at the end.
     denom = math.lcm(*(v.denominator for v in vals)) if vals else 1

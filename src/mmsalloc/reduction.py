@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import BelowThreshold, InvariantViolation
+from .errors import InvariantViolation
 from .model import Instance
 
 SHAPES = ("top", "mid_pair", "tail_triple", "top_tail")
@@ -120,14 +120,6 @@ class ReductionState:
         twin._snapshot = None
         return twin
 
-    def fingerprint(self):
-        """Hashable digest of agents, items, and valuations (log excluded)."""
-        return (
-            tuple(self.agents),
-            tuple(self.items),
-            tuple((a, tuple(sorted(self.vals[a].items()))) for a in self.agents),
-        )
-
     def total(self, agent: int) -> Fraction:
         return sum(self.vals[agent].values(), Fraction(0))
 
@@ -205,7 +197,7 @@ def apply_reduction(
     """Remove one agent with one bundle, log it, and restore the invariants.
 
     If ``alpha`` is given, the receiving agent must value the bundle at or
-    above it (BelowThreshold otherwise).  Afterwards any surviving agent
+    above it (InvariantViolation otherwise).  Afterwards any surviving agent
     whose whole row became zero is removed too (the empty bundle satisfies
     her), and when the state renormalizes, the surviving rows are rescaled
     to sum to the new agent count.
@@ -217,7 +209,7 @@ def apply_reduction(
     if any(j not in item_set for j in bundle):
         raise InvariantViolation(f"bundle {bundle} is not a subset of remaining items")
     if alpha is not None and state.bundle_value(agent, bundle) < alpha:
-        raise BelowThreshold(
+        raise InvariantViolation(
             f"agent {agent} values {bundle} at {state.bundle_value(agent, bundle)} < {alpha}"
         )
 
@@ -303,20 +295,3 @@ def undo_tentative(state: ReductionState) -> ReductionState:
     restored.observer = state.observer
     state._snapshot = None
     return restored
-
-
-def replay(
-    base: ReductionState, records: Iterable[AssignmentRecord]
-) -> ReductionState:
-    """Re-apply a log against a copy of ``base`` and return the result.
-
-    Zero-row removals regenerate themselves, so only the substantive records
-    are applied; the replayed log must come out identical, which makes this
-    a determinism check as well as a reconstruction tool.
-    """
-    twin = base.clone()
-    for rec in records:
-        if rec.shape == ZERO_SHAPE:
-            continue
-        apply_reduction(twin, rec.agent, rec.bundle, rec.kind, rec.shape)
-    return twin

@@ -32,10 +32,11 @@ from typing import Callable
 from .bags import (
     BagFillResult,
     agents_needing_rescale,
+    bag_layout,
     fill_bags,
     profile_agent,
 )
-from .errors import InputError, InvariantViolation, IterationCapExceeded
+from .errors import InputError, InvariantViolation
 from .model import (
     Allocation,
     Instance,
@@ -47,8 +48,10 @@ from .model import (
 )
 from .oracle import DEFAULT_CAP, exact_mms
 from .reduction import (
+    FIXED_SHAPES,
     ZERO_SHAPE,
     ReductionState,
+    candidate_bundles,
     reduce_all_shapes,
     reduce_fixed,
     reduce_tentative,
@@ -115,29 +118,23 @@ def rescale_candidates(
     the max.  ``held_out`` lists items that were tentatively assigned before
     the rollback; the "open_pair" candidate only considers items outside it.
 
-    Keys: "top" (4/3 of the best item), "mid_pair" (4/3 of positions n,n+1),
-    "tail_triple" (4/3 of positions 2n-1..2n+1), "open_pair" (4/3 of the best
-    non-held bag item plus the best non-held filler), "bag_deficit" (from the
-    low-bag accounting).  Missing positions contribute zero; a candidate with
-    no witness items is omitted.
+    Keys: "top", "mid_pair" and "tail_triple" (4/3 of the agent's value for
+    that fixed removal bundle of ``candidate_bundles``), "open_pair" (4/3 of
+    the best non-held bag item plus the best non-held filler), "bag_deficit"
+    (from the low-bag accounting).  A candidate with no witness items is
+    omitted.
     """
-    n = len(state.agents)
-    items = state.items
-    row = state.vals[agent]
-
-    def at(p: int) -> Fraction:
-        return row[items[p - 1]] if 1 <= p <= len(items) else Fraction(0)
-
     four_thirds = Fraction(4, 3)
     cands: dict[str, Fraction] = {
-        "top": four_thirds * at(1),
-        "mid_pair": four_thirds * (at(n) + at(n + 1)),
-        "tail_triple": four_thirds * (at(2 * n - 1) + at(2 * n) + at(2 * n + 1)),
+        shape: four_thirds * state.bundle_value(agent, bundle)
+        for shape, bundle in zip(FIXED_SHAPES, candidate_bundles(state))
     }
-    covered = min(2 * n, len(items))
-    bag_item = next((j for j in items[:covered] if j not in held_out), None)
-    filler_item = next((j for j in items[covered:] if j not in held_out), None)
+    bags, fillers = bag_layout(state)
+    # Item ids ascend as values descend, so the smallest id is the best item.
+    bag_item = min((j for bag in bags for j in bag if j not in held_out), default=None)
+    filler_item = next((j for j in fillers if j not in held_out), None)
     if bag_item is not None and filler_item is not None:
+        row = state.vals[agent]
         cands["open_pair"] = four_thirds * (row[bag_item] + row[filler_item])
     prof = profile_agent(state, agent)
     if prof.low_bags > 0:
@@ -197,7 +194,7 @@ def _reduce_with_updates(
             break
         iterations += 1
         if iterations > cap:
-            raise IterationCapExceeded(
+            raise InvariantViolation(
                 f"rescale loop passed {cap} iterations for {count} agents"
             )
         target = pending[0]

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bags import init_bags
-from .errors import InputError, NotAPartition
+from .bags import bag_layout
+from .errors import InputError
 from .model import Instance, Allocation
 from .oracle import DEFAULT_CAP, exact_mms
-from .reduction import ReductionState
+from .reduction import FIXED_SHAPES, ReductionState, candidate_bundles
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def check_alpha_mms(
     """Certify that every agent's bundle is worth at least alpha times her
     exact maximin share.  The bundles must partition the items."""
     if len(alloc.bundles) != inst.n:
-        raise NotAPartition(
+        raise InputError(
             f"allocation has {len(alloc.bundles)} bundles for {inst.n} agents"
         )
     seen: set[int] = set()
@@ -72,7 +72,7 @@ def check_alpha_mms(
             seen.add(j)
             count += 1
     if count != inst.m or seen != set(range(inst.m)):
-        raise NotAPartition("bundles do not partition the item set")
+        raise InputError("bundles do not partition the item set")
 
     rows = []
     for i in range(inst.n):
@@ -96,12 +96,15 @@ def check_valid_reduction(
     """True iff removing (agent, bundle) from the instance is harmless:
     the receiver gets at least alpha times her share, and no survivor's
     share at the reduced agent count drops below her share at the full
-    count.  Both sides are computed with the exact oracle."""
+    count.  Both sides are computed with the exact oracle.  The bundle must
+    list distinct items of the instance (InputError otherwise)."""
     if inst.n < 2:
         raise InputError("a reduction check needs at least two agents")
     if agent < 0 or agent >= inst.n:
         raise InputError(f"agent {agent} out of range")
     taken = set(bundle)
+    if len(taken) != len(bundle):
+        raise InputError("bundle repeats an item")
     if not taken <= set(range(inst.m)):
         raise InputError("bundle mentions items outside the instance")
 
@@ -121,37 +124,22 @@ def check_valid_reduction(
     return True
 
 
-def _position_value(state: ReductionState, agent: int, pos: int) -> Fraction:
-    # pos is 1-based over the current (descending-value) item order
-    if 1 <= pos <= len(state.items):
-        return state.vals[agent][state.items[pos - 1]]
-    return Fraction(0)
-
-
 def corollary_violations(
     state: ReductionState, margin: Fraction = Fraction(0)
 ) -> list[dict]:
     """The structural bounds that must hold once no removal shape fires.
 
-    Three families per remaining agent, all strict, positions truncated to
-    the items that exist: the best item is under 3/4 + margin, the middle
-    pair (positions n, n+1) sums to under 3/4 + margin, and the tail triple
-    (positions 2n-1..2n+1) sums to under 3/4 + margin.  Returns one dict
-    per violated bound; empty means all bounds hold.
+    Three families per remaining agent, all strict: each agent values each
+    of the three fixed removal bundles of ``candidate_bundles`` (the best
+    item, the middle pair, the tail triple) under 3/4 + margin.  Returns
+    one dict per violated bound; empty means all bounds hold.
     """
-    n = len(state.agents)
     bound = Fraction(3, 4) + margin
+    bundles = list(zip(FIXED_SHAPES, candidate_bundles(state)))
     out: list[dict] = []
     for a in state.agents:
-        checks = {
-            "top": _position_value(state, a, 1),
-            "mid_pair": _position_value(state, a, n)
-            + _position_value(state, a, n + 1),
-            "tail_triple": _position_value(state, a, 2 * n - 1)
-            + _position_value(state, a, 2 * n)
-            + _position_value(state, a, 2 * n + 1),
-        }
-        for family, value in checks.items():
+        for family, bundle in bundles:
+            value = state.bundle_value(a, bundle)
             if not value < bound:
                 out.append({"agent": a, "family": family, "value": str(value)})
     return out
@@ -218,15 +206,10 @@ def check_high_bag_structure(
     """
     if agent not in state.agents:
         raise InputError(f"agent {agent} is not in the state")
-    n = len(state.agents)
     items = state.items
     row = state.vals[agent]
-    layout = init_bags(n, len(items))
-    bag_values = [
-        sum((row[items[p - 1]] for p in bag), Fraction(0)) for bag in layout
-    ]
-    covered = min(2 * n, len(items))
-    fillers = items[covered:]
+    bags, fillers = bag_layout(state)
+    bag_values = [state.bundle_value(agent, bag) for bag in bags]
 
     high = [v for v in bag_values if v > 1]
     if not high:
@@ -238,7 +221,7 @@ def check_high_bag_structure(
         in_high_class=True,
         low_nonempty=bool(low),
         high_nonempty=True,
-        top_item_large=_position_value(state, agent, 1) > Fraction(5, 8),
+        top_item_large=row[items[0]] > Fraction(5, 8),
         bags_capped=all(v < Fraction(9, 8) for v in bag_values),
         fillers_small=all(row[j] < Fraction(1, 8) for j in fillers),
     )
@@ -246,7 +229,8 @@ def check_high_bag_structure(
         return report
 
     current_row = [row[j] for j in items]
-    witness = exact_mms(current_row, n, cap=oracle_cap).partition
+    covered = len(items) - len(fillers)
+    witness = exact_mms(current_row, len(state.agents), cap=oracle_cap).partition
     giver = any(
         sum((current_row[p] for p in part if p >= covered), Fraction(0))
         > Fraction(1, 4)

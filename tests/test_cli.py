@@ -226,7 +226,7 @@ def test_invariant_violations_exit_3(tmp_path, capsys, monkeypatch):
     def boom(name, instance, oracle_cap):
         raise InvariantViolation("synthetic failure")
 
-    monkeypatch.setattr(cli, "_run_algorithm", boom)
+    monkeypatch.setattr(cli, "run_algorithm", boom)
     assert run_cli(["solve", "--input", str(inst)]) == 3
     assert capsys.readouterr().err.startswith("internal error:")
 

@@ -6,15 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsalloc.errors import (
-    EmptyAgents,
-    IncompleteAllocation,
-    InputError,
-    NegativeValue,
-    NonPositiveScale,
-    RaggedMatrix,
-    ZeroMMS,
-)
+from naive_oracle import scale_agent
+
+from mmsalloc.errors import InputError
 from mmsalloc.model import (
     Allocation,
     as_rational,
@@ -23,8 +17,6 @@ from mmsalloc.model import (
     normalize_average,
     normalize_mms,
     order_instance,
-    scale_agent,
-    zero_value_agents,
 )
 
 
@@ -42,11 +34,11 @@ def test_as_rational_rejects_inexact_and_junk(bad):
 
 
 def test_make_instance_validation():
-    with pytest.raises(EmptyAgents):
+    with pytest.raises(InputError, match="an instance needs at least one agent"):
         make_instance([])
-    with pytest.raises(RaggedMatrix):
+    with pytest.raises(InputError, match="row 1 has 1 entries, expected 2"):
         make_instance([[1, 2], [1]])
-    with pytest.raises(NegativeValue):
+    with pytest.raises(InputError, match=r"values\[0\]\[1\] = -2 is negative"):
         make_instance([[1, -2]])
 
 
@@ -131,9 +123,9 @@ def test_lift_never_loses_value(data):
 def test_lift_requires_partition():
     inst = make_instance([[3, 2, 1], [1, 2, 3]])
     view = order_instance(inst)
-    with pytest.raises(IncompleteAllocation):
+    with pytest.raises(InputError, match="some positions were never assigned"):
         lift_allocation(inst, view, Allocation(bundles=((0,), (1,))))
-    with pytest.raises(IncompleteAllocation):
+    with pytest.raises(InputError, match="position 1 is missing or assigned twice"):
         lift_allocation(inst, view, Allocation(bundles=((0, 1), (1, 2))))
 
 
@@ -173,14 +165,6 @@ def test_normalize_average_scale_invariant(row, p, q):
     assert normalize_average(scaled) == normalize_average(inst)
 
 
-def test_scale_agent_rejects_nonpositive():
-    inst = make_instance([[1, 2]])
-    with pytest.raises(NonPositiveScale):
-        scale_agent(inst, 0, Fraction(0))
-    with pytest.raises(NonPositiveScale):
-        scale_agent(inst, 0, Fraction(-1, 2))
-
-
 def test_normalize_mms_identity_and_division():
     inst = make_instance([[4, 3, 2, 1]])
     assert normalize_mms(inst, [Fraction(1)]) == inst
@@ -202,10 +186,5 @@ def test_normalize_mms_two_agents_row_sum():
 
 def test_normalize_mms_rejects_zero_share():
     inst = make_instance([[1, 1]])
-    with pytest.raises(ZeroMMS):
+    with pytest.raises(InputError, match="agent 0 share 0 is not positive"):
         normalize_mms(inst, [Fraction(0)])
-
-
-def test_zero_value_agents():
-    inst = make_instance([[0, 0], [1, 0], [0, 0]])
-    assert zero_value_agents(inst) == (0, 2)

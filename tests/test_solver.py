@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from naive_oracle import scale_agent, state_key
 
 import mmsalloc.oracle as oracle_mod
 from mmsalloc.errors import InputError
@@ -12,7 +13,6 @@ from mmsalloc.model import (
     make_instance,
     normalize_average,
     order_instance,
-    scale_agent,
 )
 from mmsalloc.reduction import ReductionState, reduce_tentative
 from mmsalloc.solver import (
@@ -201,15 +201,15 @@ def test_observer_receives_the_event_stream(rows, solve):
     received = []
 
     def observer(event, record):
-        fingerprint = record["state"].fingerprint() if "state" in record else None
-        received.append((event, record, fingerprint))
+        key = state_key(record["state"]) if "state" in record else None
+        received.append((event, record, key))
 
     _, stats = solve(inst, observer=observer)
     assert [event for event, _, _ in received] == [r["event"] for r in stats.events]
     assert [
         {k: v for k, v in record.items() if k != "state"} for _, record, _ in received
     ] == list(stats.events)
-    for index, (event, record, fingerprint) in enumerate(received):
+    for index, (event, record, key) in enumerate(received):
         # removals and completed fixed phases carry a clone, except the
         # leading zero-shape removals, which happen before there is a state
         leading = all(r.get("shape") == "zero" for _, r, _ in received[: index + 1])
@@ -217,7 +217,7 @@ def test_observer_receives_the_event_stream(rows, solve):
         assert ("state" in record) == expects_state
         if "state" in record:
             clone = record["state"]
-            assert clone.fingerprint() == fingerprint  # later mutation left it alone
+            assert state_key(clone) == key  # later mutation left it alone
             if event == "reduce":
                 assert record["agent"] in clone.agents
                 assert set(record["bundle"]) <= set(clone.items)
@@ -275,7 +275,7 @@ def test_held_out_collection_after_real_tentative_phase():
     st = ReductionState.from_instance(
         normalize_average(view.ordered), agent_ids=[0, 1, 2]
     )
-    before = st.fingerprint()
+    before = state_key(st)
     reduce_tentative(st)
     held = set()
     for rec in st.log:
@@ -284,7 +284,7 @@ def test_held_out_collection_after_real_tentative_phase():
     from mmsalloc.reduction import undo_tentative
 
     st = undo_tentative(st)
-    assert st.fingerprint() == before
+    assert state_key(st) == before
 
 
 def test_update_upper_bound_with_held_out_items():

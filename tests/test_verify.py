@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mmsalloc.errors import InputError, NotAPartition, TooLarge
+from mmsalloc.errors import InputError
 from mmsalloc.model import (
     Allocation,
     make_instance,
@@ -80,7 +80,7 @@ def test_check_alpha_mms_zero_share_auto_passes():
 )
 def test_check_alpha_mms_rejects_non_partitions(bundles):
     inst = make_instance([[4, 3, 2, 1]] * 2)
-    with pytest.raises(NotAPartition):
+    with pytest.raises(InputError, match="bundles for 2 agents|do not partition"):
         check_alpha_mms(inst, Allocation(bundles=bundles), Fraction(3, 4))
 
 
@@ -115,6 +115,11 @@ def test_valid_reduction_input_errors():
         check_valid_reduction(pair, 5, (), Fraction(3, 4))
     with pytest.raises(InputError):
         check_valid_reduction(pair, 0, (9,), Fraction(3, 4))
+    # a repeated item must not count twice toward the receiver's bundle
+    skewed = make_instance([[4, 1, 1, 1, 1], [1] * 5])
+    assert check_valid_reduction(skewed, 0, (1,), Fraction(3, 4)) is False
+    with pytest.raises(InputError, match="bundle repeats an item"):
+        check_valid_reduction(skewed, 0, (1,) * 12, Fraction(3, 4))
 
 
 def test_corollary_bounds_single_family_violation():
@@ -160,7 +165,7 @@ def test_high_bag_structure_classify_instance():
     assert report.fillers_small is True
     assert report.witness_giver_ok is None
     # the oracle cannot certify 34 items
-    with pytest.raises(TooLarge):
+    with pytest.raises(InputError, match="34 items exceeds the search cap of 24"):
         check_high_bag_structure(st, 0, with_oracle=True)
 
 
