@@ -54,12 +54,20 @@ def parse_args():
         default="poly34,exist34,exist34plus",
         help="comma-separated subset of: " + ",".join(ALGORITHMS),
     )
-    ap.add_argument("--worst", type=int, default=3, help="report the K worst trials")
+    ap.add_argument(
+        "--worst",
+        type=int,
+        default=3,
+        metavar="K",
+        help="list at most K failing seeds per algorithm",
+    )
     args = ap.parse_args()
     args.names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for name in args.names:
         if name not in ALGORITHMS:
             ap.error(f"unknown algorithm {name!r}")
+    if args.count < 1:
+        ap.error(f"--count must be >= 1, got {args.count}")
     if args.n_min < 1:
         ap.error(f"--n-min must be >= 1, got {args.n_min}")
     if args.n_max < args.n_min:

@@ -4,8 +4,8 @@ The oracle is a depth-first search over bundle assignments with a
 water-filling bound, an LPT warm start, and symmetry pruning, so its cost
 grows exponentially in the item count but is very sensitive to value
 structure.  This script times it on uniform random rows for a grid of
-(m, k) and prints one row per cell with the median wall time.  Medians are
-over --trials fresh rows; values are integers in [0, 100].
+(m, k) and prints one row per cell with the median and the maximum wall
+time.  Both are over --trials fresh rows; values are integers in [0, 100].
 
 Example commands:
   python3 scripts/oracle_bench.py
@@ -23,8 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mmsalloc import oracle
-from mmsalloc.oracle import exact_mms
+from mmsalloc.oracle import DEFAULT_CAP, exact_mms
 
 
 def parse_args():
@@ -34,31 +33,41 @@ def parse_args():
     ap.add_argument("--k", default="2,3,4", help="comma-separated bundle counts")
     ap.add_argument("--trials", type=int, default=5, help="rows per (m, k) cell")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cap", type=int, default=24, help="oracle item cap")
-    return ap.parse_args()
+    ap.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle item cap")
+    args = ap.parse_args()
+    try:
+        args.ks = [int(tok) for tok in args.k.split(",") if tok.strip()]
+    except ValueError:
+        ap.error(f"--k must list integers, got {args.k!r}")
+    if not args.ks or min(args.ks) < 1:
+        ap.error(f"--k must list bundle counts >= 1, got {args.k!r}")
+    if args.trials < 1:
+        ap.error(f"--trials must be >= 1, got {args.trials}")
+    if args.m_max < args.m_min:
+        ap.error(f"--m-max {args.m_max} is below --m-min {args.m_min}")
+    if args.m_max > args.cap:
+        ap.error(f"--m-max {args.m_max} exceeds --cap {args.cap}")
+    return args
 
 
 def main() -> int:
     args = parse_args()
-    ks = [int(tok) for tok in args.k.split(",") if tok.strip()]
     rng = random.Random(args.seed)
 
-    print(f"{'m':>4} {'k':>3} {'median_s':>10} {'max_s':>10} {'calls':>7}")
+    print(f"{'m':>4} {'k':>3} {'median_s':>10} {'max_s':>10}")
     for m in range(args.m_min, args.m_max + 1):
-        for k in ks:
+        for k in args.ks:
             if k > m:
                 continue
             walls = []
-            calls_before = oracle.ORACLE_CALLS
             for _ in range(args.trials):
                 row = [rng.randint(0, 100) for _ in range(m)]
                 start = time.perf_counter()
                 exact_mms(row, k, cap=args.cap)
                 walls.append(time.perf_counter() - start)
-            calls = oracle.ORACLE_CALLS - calls_before
             print(
                 f"{m:>4} {k:>3} {statistics.median(walls):>10.4f}"
-                f" {max(walls):>10.4f} {calls:>7}"
+                f" {max(walls):>10.4f}"
             )
     return 0
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import InvariantViolation
-from .reduction import ReductionState
+from .reduction import ReductionState, first_qualifying_agent
 
 # A profile's low and high bag values, in units of the working share bound.
 LOW_BAG = Fraction(3, 4)
@@ -62,7 +63,7 @@ class AgentProfile:
     low_bags / high_bags count bags strictly below LOW_BAG (3/4) and
     strictly above HIGH_BAG (1); deficit is the total shortfall of the
     low bags; filler_value is the agent's value for everything outside the
-    bags.  has_high_bag marks the agent as unbalanced, and needs_rescale
+    bags.  The agent is unbalanced when high_bags > 0, and needs_rescale
     marks the stronger condition that her working share bound is provably
     overestimated: more high bags than low ones, yet not enough filler value
     to plug the low bags' deficit (each low bag can also absorb up to 1/8
@@ -74,7 +75,6 @@ class AgentProfile:
     high_bags: int
     deficit: Fraction
     filler_value: Fraction
-    has_high_bag: bool
     needs_rescale: bool
 
 
@@ -85,10 +85,8 @@ def profile_agent(state: ReductionState, agent: int) -> AgentProfile:
     high_count = sum(1 for v in bag_values if v > HIGH_BAG)
     deficit = sum((LOW_BAG - v for v in low_vals), Fraction(0))
     filler_value = state.bundle_value(agent, fillers)
-    has_high = high_count > 0
     needs = (
-        has_high
-        and high_count > len(low_vals)
+        high_count > len(low_vals)
         and filler_value < deficit + Fraction(len(low_vals), 8)
     )
     return AgentProfile(
@@ -97,16 +95,17 @@ def profile_agent(state: ReductionState, agent: int) -> AgentProfile:
         high_bags=high_count,
         deficit=deficit,
         filler_value=filler_value,
-        has_high_bag=has_high,
         needs_rescale=needs,
     )
 
 
-def agents_needing_rescale(state: ReductionState) -> tuple[int, ...]:
-    """Agents whose profile demands an upper-bound rescale, ascending by id."""
-    return tuple(
-        a for a in state.agents if profile_agent(state, a).needs_rescale
-    )
+def agents_needing_rescale(state: ReductionState) -> Iterator[int]:
+    """Agents whose profile demands an upper-bound rescale, ascending by id.
+
+    Lazy: each agent is profiled only when the iterator reaches her, so
+    ``next(agents_needing_rescale(state), None)`` stops at the first one.
+    """
+    return (a for a in state.agents if profile_agent(state, a).needs_rescale)
 
 
 @dataclass(frozen=True)
@@ -137,10 +136,8 @@ def fill_bags(state: ReductionState, alpha: Fraction) -> BagFillResult:
         bundle = list(bag)
         added = []
         while True:
-            quals = [
-                a for a in agents if state.bundle_value(a, bundle) >= alpha
-            ]
-            if quals:
+            winner = first_qualifying_agent(state, agents, bundle, alpha)
+            if winner is not None:
                 break
             if next_filler >= len(fillers):
                 raise InvariantViolation(
@@ -150,7 +147,6 @@ def fill_bags(state: ReductionState, alpha: Fraction) -> BagFillResult:
             next_filler += 1
             bundle.append(extra)
             added.append(extra)
-        winner = quals[0]
         agents.remove(winner)
         final = tuple(sorted(bundle))
         assignments.append((winner, final))

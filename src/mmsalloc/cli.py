@@ -83,8 +83,8 @@ def target_alpha(name: str, n: int) -> Fraction:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(_read_text(args.input))
-    alloc, _stats = run_algorithm(args.algorithm, inst, args.oracle_cap)
-    envelope = allocation_to_json(alloc)
+    alloc, stats = run_algorithm(args.algorithm, inst, args.oracle_cap)
+    envelope = allocation_to_json(alloc, stats)
     ok = True
     if args.verify:
         report = check_alpha_mms(

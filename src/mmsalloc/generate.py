@@ -53,11 +53,6 @@ class GenSpec:
         if not 0 <= self.seed < 2**64:
             raise InputError("seed must fit in 64 unsigned bits")
 
-    def dist_string(self) -> str:
-        if self.kind == "correlated":
-            return f"correlated:{self.lo}:{self.hi}:{self.noise}"
-        return f"{self.kind}:{self.lo}:{self.hi}"
-
 
 def parse_dist(text: str) -> tuple[str, int, int, int]:
     """Parse "uniform:LO:HI", "correlated:LO:HI:NOISE", "identical:LO:HI"

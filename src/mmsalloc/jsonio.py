@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .model import Allocation, Instance, as_rational, make_instance
+from .solver import SolveStats
 
 
 def rational_to_json(x: Fraction) -> int | str:
@@ -47,6 +48,9 @@ def instance_from_json(obj) -> Instance:
     inst = make_instance(rows)
     n = obj.get("agents", inst.n)
     m = obj.get("items", inst.m)
+    for key, declared in (("agents", n), ("items", m)):
+        if not isinstance(declared, int) or isinstance(declared, bool):
+            raise InputError(f"'{key}' must be an integer, got {declared!r}")
     if n != inst.n or m != inst.m:
         raise InputError(
             f"declared shape {n}x{m} does not match valuations "
@@ -63,11 +67,12 @@ def load_instance(text: str) -> Instance:
     return instance_from_json(obj)
 
 
-def allocation_to_json(alloc: Allocation) -> dict:
+def allocation_to_json(alloc: Allocation, stats: SolveStats) -> dict:
+    """The ``solve`` envelope: an allocation and the stats of its solve."""
     return {
         "bundles": [list(b) for b in alloc.bundles],
         "leftover_folded_into": alloc.leftover_agent,
-        "stats": None if alloc.stats is None else alloc.stats.to_json(),
+        "stats": stats.to_json(),
     }
 
 

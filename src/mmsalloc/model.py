@@ -138,7 +138,6 @@ class Allocation:
     bundles: tuple[tuple[int, ...], ...]
     leftovers: tuple[int, ...] = ()
     leftover_agent: int | None = None
-    stats: object | None = None
 
 
 def lift_allocation(inst: Instance, view: OrderedView, alloc: Allocation) -> Allocation:
@@ -182,7 +181,6 @@ def lift_allocation(inst: Instance, view: OrderedView, alloc: Allocation) -> All
         bundles=tuple(tuple(sorted(b)) for b in lifted),
         leftovers=leftovers,
         leftover_agent=alloc.leftover_agent,
-        stats=alloc.stats,
     )
 
 

@@ -28,10 +28,6 @@ from typing import Sequence
 from .errors import InputError
 from .model import as_rational
 
-# Module-level call counter.  Cheap instrumentation so callers (and the test
-# suite) can assert which code paths consult the exact oracle.
-ORACLE_CALLS = 0
-
 DEFAULT_CAP = 24
 
 
@@ -73,9 +69,6 @@ def exact_mms(values: Sequence, k: int, cap: int = DEFAULT_CAP) -> MmsResult:
     >>> exact_mms([4, 3, 2, 1], 2).value
     Fraction(5, 1)
     """
-    global ORACLE_CALLS
-    ORACLE_CALLS += 1
-
     if k < 1:
         raise InputError(f"bundle count must be >= 1, got {k}")
     vals = [as_rational(v) for v in values]

@@ -150,12 +150,11 @@ class ReductionState:
     def _drop_zero_rows(self, kind: str) -> None:
         zeroed = [a for a in self.agents if self.total(a) == 0]
         for a in zeroed:
-            self._notify(
-                "reduce", {"kind": kind, "shape": ZERO_SHAPE, "agent": a, "bundle": []}
-            )
+            record = AssignmentRecord(a, (), kind, ZERO_SHAPE)
+            self._notify("reduce", record.to_json())
             self.agents.remove(a)
             del self.vals[a]
-            self.log.append(AssignmentRecord(a, (), kind, ZERO_SHAPE))
+            self.log.append(record)
 
 
 def candidate_bundles(state: ReductionState) -> tuple[tuple[int, ...], ...]:
@@ -177,13 +176,12 @@ def candidate_bundles(state: ReductionState) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def qualifying_agents(
-    state: ReductionState, bundle: Iterable[int], alpha: Fraction
-) -> tuple[int, ...]:
-    """Remaining agents who value the bundle at or above alpha (exact compare),
-    in ascending id order."""
-    b = tuple(bundle)
-    return tuple(a for a in state.agents if state.bundle_value(a, b) >= alpha)
+def first_qualifying_agent(
+    state: ReductionState, agents: Iterable[int], bundle: Sequence[int], alpha: Fraction
+) -> int | None:
+    """The first of ``agents`` who values the bundle at or above alpha (exact
+    compare), or None when nobody does; later agents are never evaluated."""
+    return next((a for a in agents if state.bundle_value(a, bundle) >= alpha), None)
 
 
 def apply_reduction(
@@ -213,9 +211,8 @@ def apply_reduction(
             f"agent {agent} values {bundle} at {state.bundle_value(agent, bundle)} < {alpha}"
         )
 
-    state._notify(
-        "reduce", {"kind": kind, "shape": shape, "agent": agent, "bundle": list(bundle)}
-    )
+    record = AssignmentRecord(agent, bundle, kind, shape)
+    state._notify("reduce", record.to_json())
 
     state.agents.remove(agent)
     del state.vals[agent]
@@ -225,7 +222,7 @@ def apply_reduction(
         row = state.vals[a]
         for j in bundle:
             del row[j]
-    state.log.append(AssignmentRecord(agent, bundle, kind, shape))
+    state.log.append(record)
 
     state._drop_zero_rows(kind=kind)
     if state.renormalize and state.agents:
@@ -240,17 +237,14 @@ def _greedy_loop(
     kind: str,
 ) -> ReductionState:
     while state.agents:
-        bundles = candidate_bundles(state)
-        assigned = False
-        for shape, bundle in zip(SHAPES, bundles):
+        for shape, bundle in zip(SHAPES, candidate_bundles(state)):
             if shape not in shapes or not bundle:
                 continue
-            quals = qualifying_agents(state, bundle, alpha)
-            if quals:
-                apply_reduction(state, quals[0], bundle, kind, shape, alpha=alpha)
-                assigned = True
+            agent = first_qualifying_agent(state, state.agents, bundle, alpha)
+            if agent is not None:
+                apply_reduction(state, agent, bundle, kind, shape, alpha=alpha)
                 break
-        if not assigned:
+        else:
             break
     return state
 
@@ -264,14 +258,15 @@ def reduce_all_shapes(state: ReductionState, alpha: Fraction) -> ReductionState:
     return _greedy_loop(state, alpha, SHAPES, "fixed")
 
 
-def reduce_fixed(state: ReductionState, alpha: Fraction = DEFAULT_ALPHA) -> ReductionState:
-    """Drain the first three shapes only; these removals are provably safe
-    whenever every remaining maximin share is at most 1, so they are final."""
-    return _greedy_loop(state, alpha, FIXED_SHAPES, "fixed")
+def reduce_fixed(state: ReductionState) -> ReductionState:
+    """Drain the first three shapes at DEFAULT_ALPHA (3/4); these removals
+    are provably safe whenever every remaining maximin share is at most 1,
+    so they are final."""
+    return _greedy_loop(state, DEFAULT_ALPHA, FIXED_SHAPES, "fixed")
 
 
-def reduce_tentative(state: ReductionState, alpha: Fraction = DEFAULT_ALPHA) -> ReductionState:
-    """Drain all four shapes, but reversibly.
+def reduce_tentative(state: ReductionState) -> ReductionState:
+    """Drain all four shapes at DEFAULT_ALPHA (3/4), but reversibly.
 
     The fourth shape ("top_tail") is only safe when the working upper bounds
     on the maximin shares are tight, which is checked after the fact; so the
@@ -280,7 +275,7 @@ def reduce_tentative(state: ReductionState, alpha: Fraction = DEFAULT_ALPHA) -> 
     the earlier shapes; those happen inside this phase and are tentative too.
     """
     state._snapshot = state.clone()
-    return _greedy_loop(state, alpha, SHAPES, "tentative")
+    return _greedy_loop(state, DEFAULT_ALPHA, SHAPES, "tentative")
 
 
 def undo_tentative(state: ReductionState) -> ReductionState:

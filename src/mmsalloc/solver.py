@@ -25,7 +25,7 @@ is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -50,6 +50,7 @@ from .oracle import DEFAULT_CAP, exact_mms
 from .reduction import (
     FIXED_SHAPES,
     ZERO_SHAPE,
+    AssignmentRecord,
     ReductionState,
     candidate_bundles,
     reduce_all_shapes,
@@ -175,8 +176,8 @@ def _reduce_with_updates(
 ) -> tuple[ReductionState, int]:
     """The reduction phase of ``solve_poly34``: fixed removals, then
     tentative ones, and while some agent's bag profile proves her working
-    bound too high, undo the tentative phase, rescale her row by the
-    tightest certified bound and run both phases again.  Returns the final
+    bound too high, undo the tentative phase, rescale the row of the first
+    such agent by the tightest certified bound and run both phases again.  Returns the final
     state and the number of update-loop iterations.
 
     The state is fresh, so it holds every active agent and the cap is
@@ -189,15 +190,14 @@ def _reduce_with_updates(
         reduce_fixed(state)
         emit("fixed_phase_done", state=state)
         reduce_tentative(state)
-        pending = agents_needing_rescale(state)
-        if not pending:
+        target = next(agents_needing_rescale(state), None)
+        if target is None:
             break
         iterations += 1
         if iterations > cap:
             raise InvariantViolation(
                 f"rescale loop passed {cap} iterations for {count} agents"
             )
-        target = pending[0]
         held = {j for rec in state.log if rec.kind == "tentative" for j in rec.bundle}
         state = undo_tentative(state)
         emit("undo_tentative")
@@ -212,7 +212,7 @@ def _compose_allocation(
     inst: Instance, view: OrderedView, state: ReductionState, fills: BagFillResult
 ) -> Allocation:
     """Merge log + bag assignments over sorted positions, fold leftovers into
-    the last assigned bundle, and lift back to original items (stats unset).
+    the last assigned bundle, and lift back to original items.
     """
     assigned = [(rec.agent, rec.bundle) for rec in state.log]
     assigned.extend(fills.assignments)
@@ -272,7 +272,7 @@ def _solve(
             observer(event, payload)
 
     for i in dropped:
-        emit("reduce", {"kind": "fixed", "shape": ZERO_SHAPE, "agent": i, "bundle": []})
+        emit("reduce", AssignmentRecord(i, (), "fixed", ZERO_SHAPE).to_json())
     active = [i for i in range(inst.n) if i not in dropped]
 
     iterations = fixed = tentative = bag_rounds = 0
@@ -307,7 +307,7 @@ def _solve(
             for i, mu in enumerate(shares)
         )
     stats = SolveStats(iterations, fixed, tentative, bag_rounds, ratios, tuple(records))
-    return replace(alloc, stats=stats), stats
+    return alloc, stats
 
 
 def solve_poly34(
@@ -319,8 +319,7 @@ def solve_poly34(
     ``observer(event, record)`` receives each record of ``stats.events`` as
     it is made; a removal arrives with a ``"state"`` clone from before it,
     and each completed fixed phase with a clone from after it.  Returns
-    (allocation, stats); the allocation also carries the stats on its
-    ``stats`` field.
+    (allocation, stats).
     """
     silent = [i for i in range(inst.n) if inst.total(i) == 0]
     return _solve(

@@ -176,19 +176,6 @@ class HighBagReport:
     witness_giver_ok: bool | None = None
     witness_single_big: bool | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "agent": self.agent,
-            "in_high_class": self.in_high_class,
-            "low_nonempty": self.low_nonempty,
-            "high_nonempty": self.high_nonempty,
-            "top_item_large": self.top_item_large,
-            "bags_capped": self.bags_capped,
-            "fillers_small": self.fillers_small,
-            "witness_giver_ok": self.witness_giver_ok,
-            "witness_single_big": self.witness_single_big,
-        }
-
 
 def check_high_bag_structure(
     state: ReductionState,

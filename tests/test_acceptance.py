@@ -16,7 +16,7 @@ import pytest
 
 from naive_oracle import naive_mms, scale_agent
 
-from mmsalloc import oracle
+import mmsalloc.solver as solver_mod
 from mmsalloc.generate import gen_instance, make_spec
 from mmsalloc.jsonio import allocation_to_json, dump_json
 from mmsalloc.model import (
@@ -63,6 +63,11 @@ class SweepData:
 @pytest.fixture(scope="module")
 def sweep():
     data = SweepData()
+
+    def counted_oracle(*args, **kwargs):
+        data.oracle_calls_in_solve += 1
+        return exact_mms(*args, **kwargs)
+
     for idx in range(SWEEP_SIZE):
         n, m, seed = sweep_params(idx)
         inst = gen_instance(make_spec(n, m, "uniform:0:100", seed))
@@ -73,9 +78,9 @@ def sweep():
             elif event == "fixed_phase_done":
                 data.phase_clones.append(record["state"])
 
-        before = oracle.ORACLE_CALLS
-        alloc, stats = solve_poly34(inst, observer=observer)
-        data.oracle_calls_in_solve += oracle.ORACLE_CALLS - before
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "exact_mms", counted_oracle)
+            alloc, stats = solve_poly34(inst, observer=observer)
 
         data.instances.append(inst)
         data.allocs.append(alloc)
@@ -220,14 +225,10 @@ def test_criterion_8_scale_and_run_determinism():
         c = Fraction(rng.randint(1, 60), rng.randint(1, 60))
         scaled = scale_agent(inst, rng.randrange(n), c)
 
-        first, _ = solve_poly34(inst)
-        again, _ = solve_poly34(inst)
-        after_scale, _ = solve_poly34(scaled)
+        runs = [solve_poly34(inst), solve_poly34(inst), solve_poly34(scaled)]
+        (first, _), (again, _), (after_scale, _) = runs
 
-        texts = [
-            dump_json(allocation_to_json(a))
-            for a in (first, again, after_scale)
-        ]
+        texts = [dump_json(allocation_to_json(a, s)) for a, s in runs]
         if first != again or texts[0] != texts[1]:
             failures += 1
         if first.bundles != after_scale.bundles or texts[0] != texts[2]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from naive_oracle import state_key
 
+import mmsalloc.bags as bags_mod
 from mmsalloc.bags import (
     agents_needing_rescale,
     fill_bags,
@@ -46,7 +47,7 @@ def test_profile_classify_example():
     assert p.high_bags == 1         # bag {73, 28} = 1.01
     assert p.deficit == Fraction(1, 50)
     assert p.filler_value == Fraction(7, 25)
-    assert p.has_high_bag is True
+    assert p.high_bags > 0
     # enough filler mass: 0.28 >= 0.02 + 1/8
     assert p.needs_rescale is False
 
@@ -59,7 +60,25 @@ def test_profile_needs_rescale():
     assert p.deficit == Fraction(1, 500)
     assert p.filler_value == Fraction(4, 125)
     assert p.needs_rescale is True
-    assert agents_needing_rescale(st) == (0, 1, 2)
+    assert tuple(agents_needing_rescale(st)) == (0, 1, 2)
+
+
+def test_rescale_scan_stops_at_first_hit(monkeypatch):
+    # every agent needs a rescale; asking for the first profiles only her
+    row = [740, 740, 375, 373, 370, 370, 8, 8, 8, 8]
+    st = make_state([row, row, row])
+    profiled = []
+
+    def counted(state, agent):
+        profiled.append(agent)
+        return profile_agent(state, agent)
+
+    monkeypatch.setattr(bags_mod, "profile_agent", counted)
+    assert next(agents_needing_rescale(st)) == 0
+    assert profiled == [0]
+    profiled.clear()
+    assert tuple(agents_needing_rescale(st)) == (0, 1, 2)
+    assert profiled == [0, 1, 2]
 
 
 def test_fill_bags_single_agent_takes_fillers():

@@ -198,10 +198,18 @@ def bad_input_cases(tmp_path):
     floats.write_text(
         dump_json({"agents": 1, "items": 2, "valuations": [[0.25, 1.5]]})
     )
+    bool_shape = tmp_path / "bool_shape.json"
+    bool_shape.write_text(dump_json({"agents": True, "valuations": [[1, 2]]}))
+    float_shape = tmp_path / "float_shape.json"
+    float_shape.write_text(
+        dump_json({"agents": 1.0, "items": 2.0, "valuations": [[1, 2]]})
+    )
     return [
         ["solve", "--input", str(tmp_path / "missing.json")],
         ["solve", "--input", str(not_json)],
         ["solve", "--input", str(floats)],
+        ["solve", "--input", str(bool_shape)],
+        ["solve", "--input", str(float_shape)],
         ["mms", "--values", "4,abc", "--k", "2"],
         ["mms", "--values", "4,3", "--k", "0"],
         ["mms", "--values", "", "--k", "2"],

@@ -36,5 +36,5 @@ CASES = [
 @pytest.mark.parametrize("case, algorithm", CASES)
 def test_envelope_is_byte_identical(case, algorithm):
     inst = make_instance(case["valuations"])
-    alloc, _ = SOLVERS[algorithm](inst)
-    assert dump_json(allocation_to_json(alloc)) == case["envelopes"][algorithm]
+    alloc, stats = SOLVERS[algorithm](inst)
+    assert dump_json(allocation_to_json(alloc, stats)) == case["envelopes"][algorithm]

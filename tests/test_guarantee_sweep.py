@@ -31,6 +31,7 @@ def test_tiny_sweep_certifies_every_guarantee():
         ["--n-min", "3", "--m-max", "1"],
         ["--n-max", "2", "--m-max", "30"],
         ["--algorithms", "poly34,quux"],
+        ["--count", "-3"],
     ],
     ids=[
         "n-range-empty",
@@ -38,6 +39,7 @@ def test_tiny_sweep_certifies_every_guarantee():
         "m-cap-below-n",
         "m-above-oracle-cap",
         "unknown-algorithm",
+        "count-below-1",
     ],
 )
 def test_bad_ranges_exit_2(argv):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mmsalloc.oracle as oracle_mod
 from mmsalloc.errors import InputError
 from mmsalloc.oracle import exact_mms
 from naive_oracle import naive_mms, partition_min
@@ -79,13 +78,6 @@ def test_input_validation():
         exact_mms([1] * 25, 2)
     with pytest.raises(InputError, match="10 items exceeds the search cap of 9"):
         exact_mms([1] * 10, 2, cap=9)
-
-
-def test_call_counter_increments():
-    before = oracle_mod.ORACLE_CALLS
-    exact_mms([5, 4], 2)
-    exact_mms([5, 4], 1)
-    assert oracle_mod.ORACLE_CALLS == before + 2
 
 
 def test_partition_min_validates_coverage():

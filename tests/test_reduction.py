@@ -16,7 +16,7 @@ from mmsalloc.reduction import (
     ReductionState,
     apply_reduction,
     candidate_bundles,
-    qualifying_agents,
+    first_qualifying_agent,
     reduce_all_shapes,
     reduce_fixed,
     reduce_tentative,
@@ -55,12 +55,17 @@ def test_candidate_bundles_truncate():
     assert cands["top_tail"] == (0,)  # position 5 missing
 
 
-def test_qualifying_agents_exact_threshold():
+def test_first_qualifying_agent_exact_threshold():
     # agent 0 values the top item at exactly 3/4 of her average share
     st_ = state_from_rows([[3, 1, 0, 0], [1, 1, 1, 1]])
     # normalized row 0: (3/2, 1/2, 0, 0); top item = 3/2 = 2 * 3/4
-    assert qualifying_agents(st_, (0,), DEFAULT_ALPHA) == (0,)
-    assert qualifying_agents(st_, (1,), DEFAULT_ALPHA) == ()
+    assert first_qualifying_agent(st_, st_.agents, (0,), DEFAULT_ALPHA) == 0
+    assert first_qualifying_agent(st_, st_.agents, (0,), Fraction(3, 2)) == 0
+    just_above = Fraction(3, 2) + Fraction(1, 10**9)
+    assert first_qualifying_agent(st_, st_.agents, (0,), just_above) is None
+    assert first_qualifying_agent(st_, st_.agents, (1,), DEFAULT_ALPHA) is None
+    # both agents accept {0, 1}; the first in the given order wins
+    assert first_qualifying_agent(st_, [1, 0], (0, 1), DEFAULT_ALPHA) == 1
 
 
 def test_apply_reduction_renormalizes_survivors():

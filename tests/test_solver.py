@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from naive_oracle import scale_agent, state_key
 
-import mmsalloc.oracle as oracle_mod
+import mmsalloc.solver as solver_mod
 from mmsalloc.errors import InputError
 from mmsalloc.generate import gen_instance, make_spec
 from mmsalloc.jsonio import allocation_to_json, dump_json
@@ -14,6 +14,7 @@ from mmsalloc.model import (
     normalize_average,
     order_instance,
 )
+from mmsalloc.oracle import exact_mms
 from mmsalloc.reduction import ReductionState, reduce_tentative
 from mmsalloc.solver import (
     MODE_BASE,
@@ -108,11 +109,20 @@ def test_solve_tentative_cascade_instance():
     assert check_alpha_mms(inst, alloc, Fraction(3, 4)).overall
 
 
-def test_poly34_never_calls_oracle():
+def test_poly34_never_calls_oracle(monkeypatch):
     inst = gen_instance(make_spec(4, 11, "uniform:0:100", 5))
-    before = oracle_mod.ORACLE_CALLS
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact_mms(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "exact_mms", counted)
     solve_poly34(inst)
-    assert oracle_mod.ORACLE_CALLS == before
+    assert calls == []
+    # the counter sits where the solvers look the oracle up
+    solve_existence(inst)
+    assert len(calls) == inst.n
 
 
 def test_poly34_deterministic():
@@ -121,7 +131,7 @@ def test_poly34_deterministic():
     a2, s2 = solve_poly34(inst)
     assert a1 == a2
     assert s1.events == s2.events
-    assert dump_json(allocation_to_json(a1)) == dump_json(allocation_to_json(a2))
+    assert dump_json(allocation_to_json(a1, s1)) == dump_json(allocation_to_json(a2, s2))
 
 
 def test_poly34_scale_invariant():
