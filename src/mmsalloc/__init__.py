@@ -36,7 +36,6 @@ from .verify import (
     HighBagReport,
     VerifyReport,
     check_alpha_mms,
-    check_corollary_bounds,
     check_high_bag_structure,
     check_valid_reduction,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "VerifyReport",
     "as_rational",
     "check_alpha_mms",
-    "check_corollary_bounds",
     "check_high_bag_structure",
     "check_valid_reduction",
     "exact_mms",

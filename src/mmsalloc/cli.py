@@ -2,11 +2,12 @@
 
 Subcommands: solve (run an allocator on an instance file), mms (exact
 maximin share of one valuation row), verify (certify an allocation file),
-gen (seeded random instance), bench (CSV sweep over seeded instances).
+gen (seeded random instance), bench (seeded sweep: one CSV row per trial
+and algorithm, every result certified, per-algorithm tallies on stderr).
 
 Exit codes: 0 success, 1 guarantee verification failed, 2 bad input,
-3 internal invariant violation.  All solver arithmetic is exact; the only
-float anywhere is the wall-time column in bench output.
+3 internal invariant violation.  All arithmetic is exact and every output
+is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, InvariantViolation
@@ -40,6 +41,7 @@ from .solver import (
 from .verify import check_alpha_mms
 
 ALGORITHMS = ("poly34", "exist34", "exist34plus")
+BENCH_COLUMNS = "trial,algorithm,n,m,seed,min_ratio,update_loop_iterations,bag_rounds"
 
 
 def _read_text(path: str) -> str:
@@ -127,6 +129,74 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _parse_range(flag: str, text: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition(":")
+    try:
+        bounds = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise InputError(f"{flag} must be N or LO:HI, got {text!r}") from None
+    if bounds[0] > bounds[1]:
+        raise InputError(f"{flag} {text} is an empty range")
+    return bounds
+
+
+def _bench_specs(args) -> list:
+    """One instance spec per trial, every bound checked up front.
+
+    Trial t cycles n through the --n range, then m through the part of the
+    --m range at or above that n, and uses seed SEED+t."""
+    n_lo, n_hi = _parse_range("--n", args.n)
+    m_lo, m_hi = _parse_range("--m", args.m)
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
+    if n_lo < 1:
+        raise InputError(f"--n must be >= 1, got {n_lo}")
+    if m_hi < n_hi:
+        raise InputError(f"--m {m_hi} is below --n {n_hi}; trials need m >= n")
+    if m_hi > args.oracle_cap:
+        raise InputError(f"--m {m_hi} exceeds the oracle cap of {args.oracle_cap}")
+    specs = []
+    for t in range(args.trials):
+        n = n_lo + t % (n_hi - n_lo + 1)
+        lo = max(m_lo, n)
+        m = lo + t % (m_hi - lo + 1)
+        specs.append(make_spec(n, m, args.dist, args.seed + t))
+    return specs
+
+
+@dataclass
+class _Tally:
+    """What one algorithm did over a bench sweep; printed to stderr."""
+
+    worst: tuple[Fraction, int] | None = None  # (ratio, seed)
+    on_line: int = 0
+    agents: int = 0
+    loop_trials: int = 0
+    tentative_trials: int = 0
+    failing: list[int] = field(default_factory=list)
+
+    def add(self, seed, ratios, alpha, stats, ok) -> None:
+        if ratios and (self.worst is None or min(ratios) < self.worst[0]):
+            self.worst = (min(ratios), seed)
+        self.on_line += ratios.count(alpha)
+        self.agents += len(ratios)
+        self.loop_trials += stats.update_loop_iterations > 0
+        self.tentative_trials += stats.tentative_assignments > 0
+        if not ok:
+            self.failing.append(seed)
+
+    def summary(self, trials: int) -> str:
+        worst = "NA" if self.worst is None else "{} (seed {})".format(*self.worst)
+        failing = " ".join(map(str, self.failing)) or "none"
+        return (
+            f"  worst ratio         {worst}\n"
+            f"  on the line         {self.on_line} / {self.agents} positive-share agents\n"
+            f"  update loop ran     {self.loop_trials} / {trials} trials\n"
+            f"  tentative removals  {self.tentative_trials} / {trials} trials\n"
+            f"  failing seeds       {failing}"
+        )
+
+
 def _cmd_bench(args) -> int:
     names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for name in names:
@@ -134,8 +204,7 @@ def _cmd_bench(args) -> int:
             raise InputError(
                 f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHMS)}"
             )
-    if args.trials < 1:
-        raise InputError(f"--trials must be >= 1, got {args.trials}")
+    specs = _bench_specs(args)
 
     out = sys.stdout
     if args.output not in (None, "-"):
@@ -143,50 +212,29 @@ def _cmd_bench(args) -> int:
             out = open(args.output, "w", encoding="utf-8", newline="")
         except OSError as exc:
             raise InputError(f"cannot write {args.output}: {exc}") from exc
+    tallies = {name: _Tally() for name in names}
     try:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            [
-                "trial",
-                "algorithm",
-                "n",
-                "m",
-                "seed",
-                "min_ratio",
-                "update_loop_iterations",
-                "bag_rounds",
-                "wall_time_s",
-            ]
-        )
-        for trial in range(args.trials):
-            seed = args.seed + trial
-            inst = gen_instance(make_spec(args.n, args.m, args.dist, seed))
+        writer.writerow(BENCH_COLUMNS.split(","))
+        for trial, spec in enumerate(specs):
+            inst = gen_instance(spec)
             for name in names:
-                start = time.perf_counter()
                 alloc, stats = run_algorithm(name, inst, args.oracle_cap)
-                wall = time.perf_counter() - start
-                report = check_alpha_mms(
-                    inst, alloc, target_alpha(name, inst.n), args.oracle_cap
-                )
+                alpha = target_alpha(name, inst.n)
+                report = check_alpha_mms(inst, alloc, alpha, args.oracle_cap)
                 ratios = [r.ratio for r in report.per_agent if r.ratio is not None]
+                tallies[name].add(spec.seed, ratios, alpha, stats, report.overall)
                 min_ratio = str(min(ratios)) if ratios else "NA"
                 writer.writerow(
-                    [
-                        trial,
-                        name,
-                        inst.n,
-                        inst.m,
-                        seed,
-                        min_ratio,
-                        stats.update_loop_iterations,
-                        stats.bag_rounds,
-                        f"{wall:.6f}",
-                    ]
+                    [trial, name, inst.n, inst.m, spec.seed, min_ratio]
+                    + [stats.update_loop_iterations, stats.bag_rounds]
                 )
     finally:
         if out is not sys.stdout:
             out.close()
-    return 0
+    for name, tally in tallies.items():
+        print(f"{name}:\n{tally.summary(len(specs))}", file=sys.stderr)
+    return 1 if any(t.failing for t in tallies.values()) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="seeded sweep; one CSV row per trial and algorithm")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0, help="trial t uses seed SEED+t")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--m", type=int, default=10)
+    p.add_argument("--n", default="3", help="agent count N, or a range LO:HI")
+    p.add_argument("--m", default="10", help="item count M, or a range LO:HI")
     p.add_argument("--dist", default="uniform:1:100")
     p.add_argument("--algorithms", default="poly34", help="comma-separated subset of: " + ",".join(ALGORITHMS))
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)

@@ -59,9 +59,6 @@ class Instance:
     def m(self) -> int:
         return len(self.values[0]) if self.values else 0
 
-    def value(self, agent: int, item: int) -> Fraction:
-        return self.values[agent][item]
-
     def bundle_value(self, agent: int, items: Iterable[int]) -> Fraction:
         row = self.values[agent]
         return sum((row[j] for j in items), Fraction(0))

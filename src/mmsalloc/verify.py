@@ -145,13 +145,6 @@ def corollary_violations(
     return out
 
 
-def check_corollary_bounds(
-    state: ReductionState, margin: Fraction = Fraction(0)
-) -> bool:
-    """True iff every remaining agent satisfies all three bound families."""
-    return not corollary_violations(state, margin)
-
-
 @dataclass(frozen=True)
 class HighBagReport:
     """Structural facts about one agent whose bag layout has an overfull

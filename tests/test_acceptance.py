@@ -34,8 +34,8 @@ from mmsalloc.solver import (
 )
 from mmsalloc.verify import (
     check_alpha_mms,
-    check_corollary_bounds,
     check_valid_reduction,
+    corollary_violations,
 )
 
 SWEEP_SIZE = 1000
@@ -161,7 +161,7 @@ def test_criterion_4_corollary_bounds(sweep):
     failures = 0
     for clone in sweep.phase_clones:
         checked += 1
-        if not check_corollary_bounds(clone):
+        if corollary_violations(clone):
             failures += 1
     ok = checked >= SWEEP_SIZE and failures == 0
     record(4, ok, f"{checked} completed fixed phases, {failures} violations")

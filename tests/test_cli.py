@@ -1,13 +1,19 @@
 """End-to-end CLI behavior: exit codes, byte determinism, file formats."""
 
+import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
+
+from test_acceptance import sweep_params
 
 from mmsalloc import cli
 from mmsalloc.errors import InvariantViolation
 from mmsalloc.jsonio import dump_json, instance_to_json, load_instance
+from mmsalloc.model import Allocation
+from mmsalloc.solver import SolveStats
 
 
 def run_cli(argv):
@@ -266,27 +272,100 @@ def bench_lines(tmp_path, name, extra=()):
 def test_bench_csv_shape_and_guarantees(tmp_path):
     lines = bench_lines(tmp_path, "bench.csv")
     assert lines[0] == (
-        "trial,algorithm,n,m,seed,min_ratio,"
-        "update_loop_iterations,bag_rounds,wall_time_s"
+        "trial,algorithm,n,m,seed,min_ratio,update_loop_iterations,bag_rounds"
     )
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 4 * 2
-    from fractions import Fraction
-
     cap = 4 * 3**3 + 16
     for row in rows:
         assert row[1] in ("poly34", "exist34plus")
         assert row[2] == "3" and row[3] == "9"
         assert Fraction(row[5]) >= Fraction(3, 4)
         assert int(row[6]) <= cap
-        float(row[8])  # wall time parses; the one non-exact column
 
 
-def test_bench_deterministic_apart_from_wall_time(tmp_path):
+def test_bench_is_byte_deterministic(tmp_path):
     first = bench_lines(tmp_path, "one.csv")
-    second = bench_lines(tmp_path, "two.csv")
+    assert bench_lines(tmp_path, "two.csv") == first
+    assert first[1:] == [
+        "0,poly34,3,9,100,190/177,0,0",
+        "0,exist34plus,3,9,100,190/177,0,0",
+        "1,poly34,3,9,101,99/128,0,0",
+        "1,exist34plus,3,9,101,160/153,0,0",
+        "2,poly34,3,9,102,179/191,0,0",
+        "2,exist34plus,3,9,102,179/191,0,0",
+        "3,poly34,3,9,103,1,0,0",
+        "3,exist34plus,3,9,103,94/99,0,0",
+    ]
 
-    def strip_wall(lines):
-        return [line.rsplit(",", 1)[0] for line in lines]
 
-    assert strip_wall(first) == strip_wall(second)
+def tally_lines(err, label):
+    """The values of one tally line, one per algorithm, from bench stderr."""
+    lines = [line for line in err.splitlines() if line.startswith(f"  {label}")]
+    return [line[len(label) + 2 :].strip() for line in lines]
+
+
+def test_bench_range_sweep_certifies_every_guarantee(capsys):
+    argv = ["bench", "--trials", "12", "--seed", "90000", "--n", "2:5"]
+    argv += ["--m", "2:12", "--dist", "uniform:0:100"]
+    argv += ["--algorithms", "poly34,exist34,exist34plus"]
+    assert run_cli(argv) == 0
+    out, err = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 12 * 3
+    for row in rows:
+        got = int(row["n"]), int(row["m"]), int(row["seed"])
+        assert got == sweep_params(int(row["trial"]))
+    for name in ("poly34", "exist34", "exist34plus"):
+        assert f"{name}:\n" in err
+    assert tally_lines(err, "failing seeds") == ["none"] * 3
+
+
+def test_bench_exits_1_when_a_guarantee_fails(capsys, monkeypatch):
+    def all_to_agent_0(name, inst, oracle_cap):
+        bundles = (tuple(range(inst.m)),) + ((),) * (inst.n - 1)
+        return Allocation(bundles), SolveStats(0, 0, 0, 0, None)
+
+    monkeypatch.setattr(cli, "run_algorithm", all_to_agent_0)
+    assert run_cli(["bench", "--trials", "3", "--seed", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split(",")[5] for line in out.splitlines()[1:]] == ["0"] * 3
+    assert tally_lines(err, "failing seeds") == ["7 8 9"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "4:3"],
+        ["--n", "3", "--m", "2"],
+        ["--n", "3:5", "--m", "1"],
+        ["--n", "2", "--m", "2:30"],
+        ["--algorithms", "poly34,quux"],
+        ["--trials", "-3"],
+        ["--m", "30"],
+        ["--n", "0"],
+        ["--seed", "-1"],
+        ["--seed", str(2**64 - 1)],
+        ["--n", "x"],
+        ["--dist", "nope:1:2"],
+    ],
+    ids=[
+        "n-range-empty",
+        "m-below-n",
+        "m-cap-below-n",
+        "m-above-oracle-cap",
+        "unknown-algorithm",
+        "count-below-1",
+        "m-30",
+        "n-0",
+        "seed-negative",
+        "seed-past-64-bits",
+        "n-malformed",
+        "dist-unknown",
+    ],
+)
+def test_bench_bad_arguments_exit_2(capsys, argv):
+    assert run_cli(["bench", "--trials", "2", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:")
+    assert out == ""

@@ -49,7 +49,7 @@ def test_make_instance_accepts_zero_items():
 
 def test_instance_accessors():
     inst = make_instance([[4, 3, 2, 1], [1, 1, 1, 1]])
-    assert inst.value(0, 0) == 4
+    assert inst.values[0][0] == 4
     assert inst.bundle_value(0, (0, 3)) == 5
     assert inst.total(1) == 4
 

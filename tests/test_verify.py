@@ -15,7 +15,6 @@ from mmsalloc.reduction import ReductionState
 from mmsalloc.solver import solve_poly34
 from mmsalloc.verify import (
     check_alpha_mms,
-    check_corollary_bounds,
     check_high_bag_structure,
     check_valid_reduction,
     corollary_violations,
@@ -128,9 +127,8 @@ def test_corollary_bounds_single_family_violation():
     st = make_state([[70, 40, 40, 40, 10]])
     viol = corollary_violations(st)
     assert viol == [{"agent": 0, "family": "tail_triple", "value": "3/4"}]
-    assert check_corollary_bounds(st) is False
     # a positive margin relaxes the bound past the offending sum
-    assert check_corollary_bounds(st, Fraction(1, 24)) is True
+    assert corollary_violations(st, Fraction(1, 24)) == []
 
 
 def test_corollary_bounds_hold_after_fixed_phase():
@@ -150,7 +148,7 @@ def test_corollary_bounds_hold_after_fixed_phase():
     solve_poly34(inst, observer=observer)
     assert snaps
     for st in snaps:
-        assert check_corollary_bounds(st) is True
+        assert corollary_violations(st) == []
 
 
 def test_high_bag_structure_classify_instance():
