@@ -33,10 +33,8 @@ from .solver import (
     solve_poly34,
 )
 from .verify import (
-    HighBagReport,
     VerifyReport,
     check_alpha_mms,
-    check_high_bag_structure,
     check_valid_reduction,
 )
 
@@ -45,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation",
     "GenSpec",
-    "HighBagReport",
     "InputError",
     "Instance",
     "InvariantViolation",
@@ -58,7 +55,6 @@ __all__ = [
     "VerifyReport",
     "as_rational",
     "check_alpha_mms",
-    "check_high_bag_structure",
     "check_valid_reduction",
     "exact_mms",
     "gen_instance",

@@ -30,8 +30,8 @@ from .jsonio import (
 )
 from .model import as_rational
 from .oracle import DEFAULT_CAP, exact_mms
+from .reduction import DEFAULT_ALPHA
 from .solver import (
-    ALPHA_BASE,
     MODE_BASE,
     MODE_PLUS,
     gamma_constant,
@@ -79,8 +79,8 @@ def run_algorithm(name: str, inst, oracle_cap: int):
 def target_alpha(name: str, n: int) -> Fraction:
     """The guarantee fraction the named allocator promises for n agents."""
     if name == "exist34plus":
-        return ALPHA_BASE + gamma_constant(n)
-    return ALPHA_BASE
+        return DEFAULT_ALPHA + gamma_constant(n)
+    return DEFAULT_ALPHA
 
 
 def _cmd_solve(args) -> int:

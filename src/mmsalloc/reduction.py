@@ -64,10 +64,12 @@ class ReductionState:
     """Remaining agents/items, their current valuations, and the removal log.
 
     ``agents`` and ``items`` keep their original ids and stay ascending, so
-    item order remains descending-by-value for every agent throughout.  When
-    ``renormalize`` is set, every surviving row is rescaled after each
-    removal so it sums exactly to the number of remaining agents (keeping
-    each maximin share at most 1 via the average bound).
+    item order remains descending-by-value for every agent throughout.
+    ``vals`` holds one row dict per agent, and the state takes ownership of
+    those dicts.  When ``renormalize`` is set, every surviving row is
+    rescaled after each removal so it sums exactly to the number of
+    remaining agents (keeping each maximin share at most 1 via the average
+    bound).
 
     An optional ``observer`` callable receives ``(event, fields, state)``
     before each removal, with the JSON-ready fields of the event and this
@@ -84,9 +86,7 @@ class ReductionState:
     ):
         self.agents: list[int] = sorted(agents)
         self.items: list[int] = sorted(items)
-        self.vals: dict[int, dict[int, Fraction]] = {
-            a: dict(vals[a]) for a in self.agents
-        }
+        self.vals = vals
         self.renormalize = renormalize
         self.log: list[AssignmentRecord] = []
         self.observer: Callable[[str, dict, ReductionState], None] | None = None
@@ -104,20 +104,13 @@ class ReductionState:
         agents = list(agent_ids) if agent_ids is not None else list(range(inst.n))
         vals = {a: {j: inst.values[a][j] for j in range(inst.m)} for a in agents}
         state = cls(agents, range(inst.m), vals, renormalize)
-        state._drop_zero_rows(kind="fixed")
-        if renormalize:
-            state._renormalize_rows()
+        state._restore_rows(kind="fixed")
         return state
 
     def clone(self) -> "ReductionState":
-        twin = ReductionState.__new__(ReductionState)
-        twin.agents = list(self.agents)
-        twin.items = list(self.items)
-        twin.vals = {a: dict(row) for a, row in self.vals.items()}
-        twin.renormalize = self.renormalize
+        rows = {a: dict(row) for a, row in self.vals.items()}
+        twin = ReductionState(self.agents, self.items, rows, self.renormalize)
         twin.log = list(self.log)
-        twin.observer = None
-        twin._snapshot = None
         return twin
 
     def total(self, agent: int) -> Fraction:
@@ -138,23 +131,23 @@ class ReductionState:
         if self.observer is not None:
             self.observer(event, fields, self)
 
-    def _renormalize_rows(self) -> None:
-        target = Fraction(len(self.agents))
-        for a in self.agents:
-            tot = self.total(a)
-            if tot == 0:
-                raise InvariantViolation(f"agent {a} has a zero row at renormalize")
-            if tot != target:
-                self.scale_row(a, target / tot)
-
-    def _drop_zero_rows(self, kind: str) -> None:
-        zeroed = [a for a in self.agents if self.total(a) == 0]
-        for a in zeroed:
+    def _restore_rows(self, kind: str) -> None:
+        """Sum each surviving row once; remove every agent whose row sums to
+        zero (in ascending order, each logged as a ``kind`` removal with the
+        empty bundle), then, when the state renormalizes, scale every other
+        row to sum to the new agent count."""
+        totals = {a: self.total(a) for a in self.agents}
+        for a in [a for a in self.agents if totals[a] == 0]:
             record = AssignmentRecord(a, (), kind, ZERO_SHAPE)
             self._notify("reduce", record.to_json())
             self.agents.remove(a)
             del self.vals[a]
             self.log.append(record)
+        if self.renormalize:
+            target = Fraction(len(self.agents))
+            for a in self.agents:
+                if totals[a] != target:
+                    self.scale_row(a, target / totals[a])
 
 
 def candidate_bundles(state: ReductionState) -> tuple[tuple[int, ...], ...]:
@@ -224,9 +217,7 @@ def apply_reduction(
             del row[j]
     state.log.append(record)
 
-    state._drop_zero_rows(kind=kind)
-    if state.renormalize and state.agents:
-        state._renormalize_rows()
+    state._restore_rows(kind=kind)
     return state
 
 

@@ -48,6 +48,7 @@ from .model import (
 )
 from .oracle import DEFAULT_CAP, exact_mms
 from .reduction import (
+    DEFAULT_ALPHA,
     FIXED_SHAPES,
     ZERO_SHAPE,
     AssignmentRecord,
@@ -58,8 +59,6 @@ from .reduction import (
     reduce_tentative,
     undo_tentative,
 )
-
-ALPHA_BASE = Fraction(3, 4)
 
 MODE_BASE = "three_quarter"
 MODE_PLUS = "three_quarter_plus"
@@ -135,8 +134,7 @@ def rescale_candidates(
     bag_item = min((j for bag in bags for j in bag if j not in held_out), default=None)
     filler_item = next((j for j in fillers if j not in held_out), None)
     if bag_item is not None and filler_item is not None:
-        row = state.vals[agent]
-        cands["open_pair"] = four_thirds * (row[bag_item] + row[filler_item])
+        cands["open_pair"] = four_thirds * state.bundle_value(agent, (bag_item, filler_item))
     prof = profile_agent(state, agent)
     if prof.low_bags > 0:
         cands["bag_deficit"] = (
@@ -241,7 +239,6 @@ def _solve(
     inst: Instance,
     dropped: list[int],
     normalize: Callable[[Instance], Instance],
-    renormalize: bool,
     reduce: Callable[[ReductionState, Callable[..., None]], tuple[ReductionState, int]],
     alpha: Fraction,
     shares: list[Fraction] | None,
@@ -255,7 +252,8 @@ def _solve(
     the ``reduce`` phase (which returns the final state and its update-loop
     iteration count), and whoever is left gets a bag filled to ``alpha``.
     ``shares`` are the exact shares at the full agent count when the caller
-    has them; they give ``per_agent_ratio``.
+    has them; they give ``per_agent_ratio``.  Without them, rows are
+    renormalized to the agent count after every removal.
     """
     records: list[dict] = []
 
@@ -287,7 +285,7 @@ def _solve(
     else:
         view = order_instance(inst)
         state = ReductionState.from_instance(
-            normalize(view.ordered), agent_ids=active, renormalize=renormalize
+            normalize(view.ordered), agent_ids=active, renormalize=shares is None
         )
         state.observer = emit
         state, iterations = reduce(state, emit)
@@ -326,9 +324,8 @@ def solve_poly34(
         inst,
         silent,
         normalize_average,
-        renormalize=True,
         reduce=_reduce_with_updates,
-        alpha=ALPHA_BASE,
+        alpha=DEFAULT_ALPHA,
         shares=None,
         observer=observer,
     )
@@ -350,7 +347,7 @@ def solve_existence(
     """
     if mode not in (MODE_BASE, MODE_PLUS):
         raise InputError(f"unknown mode {mode!r}")
-    alpha = ALPHA_BASE + gamma_constant(inst.n) if mode == MODE_PLUS else ALPHA_BASE
+    alpha = DEFAULT_ALPHA + gamma_constant(inst.n) if mode == MODE_PLUS else DEFAULT_ALPHA
 
     # Exact shares at the current agent count; agents whose share is zero are
     # satisfied by the empty bundle and leave, which can only raise the
@@ -381,7 +378,6 @@ def solve_existence(
         inst,
         dropped,
         normalize,
-        renormalize=False,
         reduce=lambda state, emit: (reduce_all_shapes(state, alpha), 0),
         alpha=alpha,
         shares=[first_pass[i] for i in range(inst.n)],

@@ -8,10 +8,9 @@ count); beyond the cap the guarantee rests on the algorithm, not on us.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .bags import bag_layout
 from .errors import InputError
 from .model import Instance, Allocation
 from .oracle import DEFAULT_CAP, exact_mms
@@ -143,81 +142,3 @@ def corollary_violations(
             if not value < bound:
                 out.append({"agent": a, "family": family, "value": str(value)})
     return out
-
-
-@dataclass(frozen=True)
-class HighBagReport:
-    """Structural facts about one agent whose bag layout has an overfull
-    bag (value above 1).  The first five fields are exact evaluations of
-    what must hold for such an agent; the two witness fields are oracle
-    diagnostics on one optimal partition and are None unless requested.
-
-    witness_giver_ok is a sound check (the claim holds for every optimal
-    partition, so a failing witness is a real violation).  The single-big
-    claim only promises that some optimal partition has at most one large
-    item per bundle; the oracle's witness may not be that partition, so
-    witness_single_big=False is not a violation.
-    """
-
-    agent: int
-    in_high_class: bool
-    low_nonempty: bool | None = None
-    high_nonempty: bool | None = None
-    top_item_large: bool | None = None
-    bags_capped: bool | None = None
-    fillers_small: bool | None = None
-    witness_giver_ok: bool | None = None
-    witness_single_big: bool | None = None
-
-
-def check_high_bag_structure(
-    state: ReductionState,
-    agent: int,
-    with_oracle: bool = False,
-    oracle_cap: int = DEFAULT_CAP,
-) -> HighBagReport:
-    """Evaluate the structure forced on an agent with an overfull bag.
-
-    On a state where no removal shape fires and rows sum to the agent
-    count, an agent who values some bag above 1 must also: value some bag
-    below 3/4, value her best item above 5/8, value every bag below 9/8,
-    and value every non-bag item below 1/8.  Agents without an overfull
-    bag get in_high_class=False and no further fields.
-    """
-    if agent not in state.agents:
-        raise InputError(f"agent {agent} is not in the state")
-    items = state.items
-    row = state.vals[agent]
-    bags, fillers = bag_layout(state)
-    bag_values = [state.bundle_value(agent, bag) for bag in bags]
-
-    high = [v for v in bag_values if v > 1]
-    if not high:
-        return HighBagReport(agent=agent, in_high_class=False)
-    low = [v for v in bag_values if v < Fraction(3, 4)]
-
-    report = HighBagReport(
-        agent=agent,
-        in_high_class=True,
-        low_nonempty=bool(low),
-        high_nonempty=True,
-        top_item_large=row[items[0]] > Fraction(5, 8),
-        bags_capped=all(v < Fraction(9, 8) for v in bag_values),
-        fillers_small=all(row[j] < Fraction(1, 8) for j in fillers),
-    )
-    if not with_oracle:
-        return report
-
-    current_row = [row[j] for j in items]
-    covered = len(items) - len(fillers)
-    witness = exact_mms(current_row, len(state.agents), cap=oracle_cap).partition
-    giver = any(
-        sum((current_row[p] for p in part if p >= covered), Fraction(0))
-        > Fraction(1, 4)
-        for part in witness
-    )
-    single_big = all(
-        sum(1 for p in part if current_row[p] > Fraction(5, 8)) <= 1
-        for part in witness
-    )
-    return replace(report, witness_giver_ok=giver, witness_single_big=single_big)

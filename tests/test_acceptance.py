@@ -5,7 +5,9 @@ One test per criterion, each printing a single PASS/FAIL line (visible with
 rational arithmetic against the brute-force oracle; there is no tolerance
 anywhere.  The shared sweep solves 1000 seeded instances once and keeps the
 audit trail (reduction snapshots, post-phase state clones, solver stats) for
-the criteria that inspect solver behavior rather than just outcomes.
+the criteria that inspect solver behavior rather than just outcomes.  The
+uniform sweep never reaches the update loop, so criteria 4 and 7 also solve
+20 seeded near-threshold instances on which it fires.
 """
 
 import random
@@ -29,6 +31,7 @@ from mmsalloc.oracle import exact_mms
 from mmsalloc.solver import (
     MODE_PLUS,
     gamma_constant,
+    iteration_cap,
     solve_existence,
     solve_poly34,
 )
@@ -39,6 +42,7 @@ from mmsalloc.verify import (
 )
 
 SWEEP_SIZE = 1000
+NEAR_COUNT = 20
 ALPHA = Fraction(3, 4)
 
 
@@ -47,6 +51,24 @@ def sweep_params(idx):
     n = 2 + idx % 4
     m = n + idx % (13 - n)
     return n, m, 90000 + idx
+
+
+def near_threshold_instance(seed):
+    # 10 agents, 50 items; per agent 9 items in [6500, 6700], one in
+    # [3740, 3760], 10 in [3680, 3720] and 30 fillers in [1, 20], with one
+    # column shuffle for all rows.  The bags sit just around the profile
+    # thresholds, so the update loop (undo, rescale, rerun) fires.
+    rng = random.Random(seed)
+    rows = [
+        [rng.randint(6500, 6700) for _ in range(9)]
+        + [rng.randint(3740, 3760)]
+        + [rng.randint(3680, 3720) for _ in range(10)]
+        + [rng.randint(1, 20) for _ in range(30)]
+        for _ in range(10)
+    ]
+    order = list(range(50))
+    rng.shuffle(order)
+    return make_instance([[row[j] for j in order] for row in rows])
 
 
 @dataclass
@@ -87,6 +109,26 @@ def sweep():
         data.stats.append(stats)
         data.reports.append(check_alpha_mms(inst, alloc, ALPHA))
     return data
+
+
+@pytest.fixture(scope="module")
+def near_sweep():
+    data = SweepData()
+
+    def observer(event, record):
+        if event == "fixed_phase_done":
+            data.phase_clones.append(record["state"])
+
+    for idx in range(NEAR_COUNT):
+        inst = near_threshold_instance(96000 + idx)
+        _alloc, stats = solve_poly34(inst, observer=observer)
+        data.instances.append(inst)
+        data.stats.append(stats)
+    return data
+
+
+def loop_fired(data):
+    return sum(1 for stats in data.stats if stats.update_loop_iterations > 0)
 
 
 def record(criterion, ok, detail):
@@ -156,15 +198,21 @@ def test_criterion_3_valid_reductions(sweep):
     record(3, ok, f"{audited} fixed reductions audited, {failures} failures")
 
 
-def test_criterion_4_corollary_bounds(sweep):
+def test_criterion_4_corollary_bounds(sweep, near_sweep):
     checked = 0
     failures = 0
-    for clone in sweep.phase_clones:
+    for clone in sweep.phase_clones + near_sweep.phase_clones:
         checked += 1
         if corollary_violations(clone):
             failures += 1
-    ok = checked >= SWEEP_SIZE and failures == 0
-    record(4, ok, f"{checked} completed fixed phases, {failures} violations")
+    fired = loop_fired(near_sweep)
+    ok = checked >= SWEEP_SIZE + NEAR_COUNT and failures == 0 and fired == NEAR_COUNT
+    record(
+        4,
+        ok,
+        f"{checked} completed fixed phases, {failures} violations; "
+        f"update loop fired on {fired}/{NEAR_COUNT} near-threshold instances",
+    )
 
 
 def test_criterion_5_ordering_lift():
@@ -203,16 +251,22 @@ def test_criterion_6_oracle_soundness():
     record(6, failures == 0, f"100 cases vs naive enumerator, {failures} mismatches")
 
 
-def test_criterion_7_update_loop_cap(sweep):
+def test_criterion_7_update_loop_cap(sweep, near_sweep):
     worst = 0
     ok = len(sweep.allocs) == SWEEP_SIZE  # every run completed, none exhausted
-    for idx, stats in enumerate(sweep.stats):
-        n, _m, _seed = sweep_params(idx)
-        cap = 4 * n**3 + 16
-        worst = max(worst, stats.update_loop_iterations)
-        if stats.update_loop_iterations > cap:
-            ok = False
-    record(7, ok, f"max update-loop iterations {worst}, cap respected, no exhaustion")
+    for data in (sweep, near_sweep):
+        for inst, stats in zip(data.instances, data.stats):
+            worst = max(worst, stats.update_loop_iterations)
+            if stats.update_loop_iterations > iteration_cap(inst.n):
+                ok = False
+    fired = loop_fired(near_sweep)
+    ok = ok and fired == NEAR_COUNT
+    record(
+        7,
+        ok,
+        f"max update-loop iterations {worst}, cap respected, no exhaustion; "
+        f"update loop fired on {fired}/{NEAR_COUNT} near-threshold instances",
+    )
 
 
 def test_criterion_8_scale_and_run_determinism():

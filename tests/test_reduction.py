@@ -197,10 +197,16 @@ def test_fixed_reductions_are_valid_reductions(data):
     )
     st_.observer = observer
     reduce_fixed(st_)
+    # every removal starts from restored rows, and so does the final state:
+    # each row sums exactly to the agent count, so no row is zero
+    restored = [snap["state"] for snap in snapshots if snap["shape"] != "zero"]
+    for state in restored + [st_]:
+        assert all(state.total(a) == len(state.agents) for a in state.agents)
     for snap in snapshots:
-        if snap["kind"] != "fixed" or snap["shape"] == "zero":
-            continue
         before = snap["state"]
+        if snap["shape"] == "zero":
+            assert before.total(snap["agent"]) == 0
+            continue
         agents = before.agents
         items = before.items
         if len(agents) < 2:

@@ -15,19 +15,16 @@ from mmsalloc.reduction import ReductionState
 from mmsalloc.solver import solve_poly34
 from mmsalloc.verify import (
     check_alpha_mms,
-    check_high_bag_structure,
     check_valid_reduction,
     corollary_violations,
 )
 
 
-def make_state(rows, renormalize=True):
+def make_state(rows):
     inst = make_instance(rows)
     view = order_instance(inst)
     norm = normalize_average(view.ordered)
-    return ReductionState.from_instance(
-        norm, agent_ids=list(range(inst.n)), renormalize=renormalize
-    )
+    return ReductionState.from_instance(norm, agent_ids=list(range(inst.n)))
 
 
 def test_check_alpha_mms_single_agent():
@@ -149,49 +146,6 @@ def test_corollary_bounds_hold_after_fixed_phase():
     assert snaps
     for st in snaps:
         assert corollary_violations(st) == []
-
-
-def test_high_bag_structure_classify_instance():
-    row = [73, 68, 37, 36, 30, 28] + [1] * 28
-    st = make_state([row] * 3)
-    report = check_high_bag_structure(st, 0)
-    assert report.in_high_class is True
-    assert report.low_nonempty is True
-    assert report.high_nonempty is True
-    assert report.top_item_large is True
-    assert report.bags_capped is True
-    assert report.fillers_small is True
-    assert report.witness_giver_ok is None
-    # the oracle cannot certify 34 items
-    with pytest.raises(InputError, match="34 items exceeds the search cap of 24"):
-        check_high_bag_structure(st, 0, with_oracle=True)
-
-
-def test_high_bag_structure_skips_balanced_agent():
-    st = make_state([[1, 1, 1, 1, 1, 1]] * 3)
-    report = check_high_bag_structure(st, 0)
-    assert report.in_high_class is False
-    assert report.low_nonempty is None
-    assert report.bags_capped is None
-
-
-def test_high_bag_structure_witness_mechanics():
-    # hand state, not a fire-free pipeline state: both end bags exceed 9/8,
-    # and the optimal split has no value outside the bag positions, so the
-    # giver check reports False while the single-big-item count holds
-    st = make_state([[74, 74, 40, 12, 7, 7]] * 3, renormalize=False)
-    report = check_high_bag_structure(st, 0, with_oracle=True)
-    assert report.in_high_class is True
-    assert report.bags_capped is False
-    assert report.fillers_small is True
-    assert report.witness_giver_ok is False
-    assert report.witness_single_big is True
-
-
-def test_high_bag_structure_unknown_agent():
-    st = make_state([[2, 1], [1, 2]])
-    with pytest.raises(InputError):
-        check_high_bag_structure(st, 7)
 
 
 def test_report_json_shape():
