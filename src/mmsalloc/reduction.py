@@ -18,12 +18,14 @@ Positions past the end of the item list are simply omitted (bundle values
 only shrink, so qualification only gets harder).
 
 A ``ReductionState`` is single-owner and mutated in place by the operations
-here; they hand the state back for chaining.  The tentative phase snapshots
-the full state first so it can be undone exactly.  The state reports each
-removal, before making it, through one optional hook that receives the
-event name, its JSON-ready fields and the state itself (the solver's
-rescale diagnostics use the same hook); it copies nothing, so whoever
-listens decides what to keep.
+here; they hand the state back for chaining.  Its rows are the sorted
+instance's values, read-only and shared by clones; an agent's current value
+is her scale times the raw value, so renormalizing or rescaling her changes
+one number.  The tentative phase snapshots the state first so it can be
+undone exactly.  The state reports each removal, before making it, through
+one optional hook that receives the event name, its JSON-ready fields and
+the state itself (the solver's rescale diagnostics use the same hook); it
+copies nothing, so whoever listens decides what to keep.
 """
 
 from __future__ import annotations
@@ -61,15 +63,16 @@ class AssignmentRecord:
 
 
 class ReductionState:
-    """Remaining agents/items, their current valuations, and the removal log.
+    """Remaining agents/items, one scale per agent, and the removal log.
 
     ``agents`` and ``items`` keep their original ids and stay ascending, so
     item order remains descending-by-value for every agent throughout.
-    ``vals`` holds one row dict per agent, and the state takes ownership of
-    those dicts.  When ``renormalize`` is set, every surviving row is
-    rescaled after each removal so it sums exactly to the number of
-    remaining agents (keeping each maximin share at most 1 via the average
-    bound).
+    ``rows[a][j]`` is agent ``a``'s raw value for item ``j``; the rows are
+    never written, and clones share them.  Agent ``a`` values item ``j`` at
+    ``scale[a] * rows[a][j]``; every scale starts at 1.  When
+    ``renormalize`` is set, every surviving agent is rescaled after each
+    removal so her remaining items sum exactly to the number of remaining
+    agents (keeping each maximin share at most 1 via the average bound).
 
     An optional ``observer`` callable receives ``(event, fields, state)``
     before each removal, with the JSON-ready fields of the event and this
@@ -81,12 +84,13 @@ class ReductionState:
         self,
         agents: Iterable[int],
         items: Iterable[int],
-        vals: dict[int, dict[int, Fraction]],
+        rows: Sequence[Sequence[Fraction]],
         renormalize: bool,
     ):
         self.agents: list[int] = sorted(agents)
         self.items: list[int] = sorted(items)
-        self.vals = vals
+        self.rows = rows
+        self.scale: dict[int, Fraction] = {a: Fraction(1) for a in self.agents}
         self.renormalize = renormalize
         self.log: list[AssignmentRecord] = []
         self.observer: Callable[[str, dict, ReductionState], None] | None = None
@@ -101,47 +105,44 @@ class ReductionState:
         agent_ids: Sequence[int] | None = None,
         renormalize: bool = True,
     ) -> "ReductionState":
-        agents = list(agent_ids) if agent_ids is not None else list(range(inst.n))
-        vals = {a: {j: inst.values[a][j] for j in range(inst.m)} for a in agents}
-        state = cls(agents, range(inst.m), vals, renormalize)
+        agents = agent_ids if agent_ids is not None else range(inst.n)
+        state = cls(agents, range(inst.m), inst.values, renormalize)
         state._restore_rows(kind="fixed")
         return state
 
     def clone(self) -> "ReductionState":
-        rows = {a: dict(row) for a, row in self.vals.items()}
-        twin = ReductionState(self.agents, self.items, rows, self.renormalize)
+        twin = ReductionState(self.agents, self.items, self.rows, self.renormalize)
+        twin.scale = dict(self.scale)
         twin.log = list(self.log)
         return twin
 
     def total(self, agent: int) -> Fraction:
-        return sum(self.vals[agent].values(), Fraction(0))
+        return self.bundle_value(agent, self.items)
 
     def bundle_value(self, agent: int, items: Iterable[int]) -> Fraction:
-        row = self.vals[agent]
-        return sum((row[j] for j in items), Fraction(0))
+        row = self.rows[agent]
+        return self.scale[agent] * sum((row[j] for j in items), Fraction(0))
 
     def scale_row(self, agent: int, factor: Fraction) -> None:
         if factor <= 0:
             raise InvariantViolation(f"row scale factor {factor} not positive")
-        row = self.vals[agent]
-        for j in row:
-            row[j] *= factor
+        self.scale[agent] *= factor
 
     def _notify(self, event: str, fields: dict) -> None:
         if self.observer is not None:
             self.observer(event, fields, self)
 
     def _restore_rows(self, kind: str) -> None:
-        """Sum each surviving row once; remove every agent whose row sums to
-        zero (in ascending order, each logged as a ``kind`` removal with the
-        empty bundle), then, when the state renormalizes, scale every other
-        row to sum to the new agent count."""
+        """Sum each surviving row over the remaining items once; remove every
+        agent whose sum is zero (in ascending order, each logged as a
+        ``kind`` removal with the empty bundle), then, when the state
+        renormalizes, rescale every other agent to sum to the new agent
+        count."""
         totals = {a: self.total(a) for a in self.agents}
         for a in [a for a in self.agents if totals[a] == 0]:
             record = AssignmentRecord(a, (), kind, ZERO_SHAPE)
             self._notify("reduce", record.to_json())
             self.agents.remove(a)
-            del self.vals[a]
             self.log.append(record)
         if self.renormalize:
             target = Fraction(len(self.agents))
@@ -194,7 +195,7 @@ def apply_reduction(
     to sum to the new agent count.
     """
     bundle = tuple(bundle)
-    if agent not in state.vals:
+    if agent not in state.agents:
         raise InvariantViolation(f"agent {agent} is not in the state")
     item_set = set(state.items)
     if any(j not in item_set for j in bundle):
@@ -208,13 +209,8 @@ def apply_reduction(
     state._notify("reduce", record.to_json())
 
     state.agents.remove(agent)
-    del state.vals[agent]
     removed = set(bundle)
     state.items = [j for j in state.items if j not in removed]
-    for a in state.agents:
-        row = state.vals[a]
-        for j in bundle:
-            del row[j]
     state.log.append(record)
 
     state._restore_rows(kind=kind)

@@ -54,10 +54,13 @@ def scale_agent(inst: Instance, agent: int, factor: Fraction) -> Instance:
 
 
 def state_key(state):
-    """A copy of a reduction state's agents, items and valuations (log
-    excluded), equal for two states exactly when those agree."""
+    """A copy of a reduction state's agents, items and current per-item
+    values (log excluded), equal for two states exactly when those agree."""
     return (
         tuple(state.agents),
         tuple(state.items),
-        {a: dict(row) for a, row in state.vals.items()},
+        {
+            a: {j: state.bundle_value(a, (j,)) for j in state.items}
+            for a in state.agents
+        },
     )

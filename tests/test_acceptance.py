@@ -6,10 +6,13 @@ rational arithmetic against the brute-force oracle; there is no tolerance
 anywhere.  The shared sweep solves 1000 seeded instances once and keeps the
 audit trail (reduction snapshots, post-phase state clones, solver stats) for
 the criteria that inspect solver behavior rather than just outcomes.  The
+sweep's poly34 envelopes and criterion 2's exist34plus envelopes are hashed
+against golden digests, so a changed output byte fails here.  The
 uniform sweep never reaches the update loop, so criteria 4 and 7 also solve
 20 seeded near-threshold instances on which it fires.
 """
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,6 +48,15 @@ SWEEP_SIZE = 1000
 NEAR_COUNT = 20
 ALPHA = Fraction(3, 4)
 
+# sha256 of the sweep's canonical ``solve`` envelopes, concatenated in index
+# order: any change to an output byte of either algorithm shows here.
+POLY34_SWEEP_SHA256 = (
+    "7c3c9aff6097d4908ed59826f973e8b6da2e3288539bf79ccb9329ece1c751a8"
+)
+EXIST34PLUS_SWEEP_SHA256 = (
+    "675735d7e9e4192977079a7a9636592d3702078a96bff379f9f4bd31a78db8de"
+)
+
 
 def sweep_params(idx):
     # n in 2..5, m in n..12, deterministic seed per index
@@ -77,6 +89,7 @@ class SweepData:
     allocs: list = field(default_factory=list)
     stats: list = field(default_factory=list)
     reports: list = field(default_factory=list)
+    envelopes: list = field(default_factory=list)
     reduce_snaps: list = field(default_factory=list)
     phase_clones: list = field(default_factory=list)
     oracle_calls_in_solve: int = 0
@@ -107,6 +120,7 @@ def sweep():
         data.instances.append(inst)
         data.allocs.append(alloc)
         data.stats.append(stats)
+        data.envelopes.append(dump_json(allocation_to_json(alloc, stats)))
         data.reports.append(check_alpha_mms(inst, alloc, ALPHA))
     return data
 
@@ -137,6 +151,14 @@ def record(criterion, ok, detail):
     assert ok, line
 
 
+def envelope_digest(texts):
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+def test_sweep_poly34_envelopes_unchanged(sweep):
+    assert envelope_digest(sweep.envelopes) == POLY34_SWEEP_SHA256
+
+
 def test_criterion_1_poly_guarantee(sweep):
     ratios = [
         row.ratio
@@ -155,9 +177,11 @@ def test_criterion_1_poly_guarantee(sweep):
 def test_criterion_2_plus_guarantee(sweep):
     worst_gap = None
     ok = True
+    envelopes = []
     for inst in sweep.instances:
         target = ALPHA + gamma_constant(inst.n)
-        alloc, _stats = solve_existence(inst, MODE_PLUS)
+        alloc, stats = solve_existence(inst, MODE_PLUS)
+        envelopes.append(dump_json(allocation_to_json(alloc, stats)))
         report = check_alpha_mms(inst, alloc, target)
         ok = ok and report.overall
         for row in report.per_agent:
@@ -171,6 +195,7 @@ def test_criterion_2_plus_guarantee(sweep):
         ok,
         f"{SWEEP_SIZE} instances, min ratio slack over 3/4+1/(12n): {worst_gap}",
     )
+    assert envelope_digest(envelopes) == EXIST34PLUS_SWEEP_SHA256
 
 
 def test_criterion_3_valid_reductions(sweep):
@@ -185,7 +210,7 @@ def test_criterion_3_valid_reductions(sweep):
             continue  # no survivors, nothing to audit
         items = before.items
         sub = make_instance(
-            [[before.vals[i][j] for j in items] for i in agents]
+            [[before.bundle_value(i, (j,)) for j in items] for i in agents]
         )
         pos = {j: p for p, j in enumerate(items)}
         bundle = tuple(pos[j] for j in snap["bundle"])

@@ -116,10 +116,8 @@ def test_fill_bags_empty_state():
 
 def test_fill_bags_exhausted_without_renormalization():
     # tiny values, no renormalization: the threshold is out of reach
-    st = make_state([[1, 1], [1, 1]], renormalize=False)
-    st.vals = {
-        a: {j: Fraction(1, 100) for j in st.items} for a in st.agents
-    }
+    inst = make_instance([[Fraction(1, 100)] * 2] * 2)
+    st = ReductionState.from_instance(inst, renormalize=False)
     with pytest.raises(InvariantViolation, match="no filler left and no agent accepts"):
         fill_bags(st, Fraction(3, 4))
 

@@ -90,6 +90,18 @@ def test_apply_reduction_rejects_unknown_agent_or_items():
         apply_reduction(st_, 0, (9,), "fixed", "top")
 
 
+def test_removal_renormalization_discards_earlier_rescale():
+    # Pins the open question of the integer row kernel in ROADMAP.md:
+    # renormalizing after a removal throws away an earlier rescale of a
+    # survivor, because every surviving total is set back to the agent count.
+    st_ = state_from_rows([[6, 2, 2, 2], [3, 3, 3, 3], [1, 2, 3, 4]])
+    st_.scale_row(2, Fraction(2))
+    assert st_.total(2) == 6
+    apply_reduction(st_, 0, (0,), "fixed", "top")
+    assert st_.agents == [1, 2]
+    assert st_.total(2) == len(st_.agents)
+
+
 def test_zero_row_cascade():
     # once items 0 and 1 leave, agent 1 values nothing and must exit too
     st_ = state_from_rows([[4, 4, 1, 1], [5, 5, 0, 0], [1, 1, 1, 1]])
@@ -212,7 +224,7 @@ def test_fixed_reductions_are_valid_reductions(data):
         if len(agents) < 2:
             continue  # the definition is vacuous for a lone agent
         sub = make_instance(
-            [[before.vals[i][j] for j in items] for i in agents]
+            [[before.bundle_value(i, (j,)) for j in items] for i in agents]
         )
         pos = {j: p for p, j in enumerate(items)}
         assert check_valid_reduction(
