@@ -1,12 +1,16 @@
 """Core data model: instances, item ordering, normalization, allocations.
 
-Everything here works on exact rationals (`fractions.Fraction`).  Floats are
+Values are exact rationals (`fractions.Fraction`) at the API.  Floats are
 rejected at the door so that no rounding can creep into the solver path.
-All operations are pure: the same inputs give bit-identical outputs.
+Row-level work (sorting, summing, normalizing) clears each row's
+denominators once with `integer_row` and runs on plain ints; every result
+is the same rational it would be in `Fraction` arithmetic.  All operations
+are pure: the same inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -84,11 +88,24 @@ def make_instance(values: Sequence[Sequence]) -> Instance:
         conv = []
         for j, entry in enumerate(row):
             v = as_rational(entry)
-            if v < 0:
+            if v.numerator < 0:
                 raise InputError(f"values[{i}][{j}] = {v} is negative")
             conv.append(v)
         out.append(tuple(conv))
     return Instance(tuple(out))
+
+
+def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row over one common denominator: ``row[j] == Fraction(ints[j], d)``.
+
+    ``d`` is the least common multiple of the row's denominators (1 for an
+    empty row), so the ints sort, sum and compare exactly as the row does.
+
+    >>> integer_row([Fraction(1, 2), Fraction(2, 3), Fraction(0)])
+    ([3, 4, 0], 6)
+    """
+    d = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (d // v.denominator) for v in row], d
 
 
 @dataclass(frozen=True)
@@ -116,7 +133,9 @@ def order_instance(inst: Instance) -> OrderedView:
     ordered_rows = []
     rankings = []
     for row in inst.values:
-        order = sorted(range(len(row)), key=lambda j: (-row[j], j))
+        ints, _ = integer_row(row)
+        # A stable sort stays stable under reverse=True: ties keep ascending ids.
+        order = sorted(range(len(row)), key=ints.__getitem__, reverse=True)
         rankings.append(tuple(order))
         ordered_rows.append(tuple(row[j] for j in order))
     return OrderedView(Instance(tuple(ordered_rows)), tuple(rankings))
@@ -187,17 +206,15 @@ def normalize_average(inst: Instance) -> Instance:
     After this, each agent's maximin share is at most 1 (she cannot make
     every one of n bundles worth more than the average).  Rows that sum to
     zero cannot be rescaled and are left untouched; any bundle satisfies
-    such an agent.
+    such an agent.  Entry j of a row cleared to ``ints`` becomes
+    ``ints[j] * n / sum(ints)``, the same rational as ``v * n / total``.
     """
     n = inst.n
     rows = []
-    for i in range(n):
-        tot = inst.total(i)
-        if tot == 0:
-            rows.append(inst.values[i])
-        else:
-            c = Fraction(n) / tot
-            rows.append(tuple(v * c for v in inst.values[i]))
+    for row in inst.values:
+        ints, _ = integer_row(row)
+        total = sum(ints)
+        rows.append(tuple(Fraction(v * n, total) for v in ints) if total else row)
     return Instance(tuple(rows))
 
 

@@ -20,13 +20,12 @@ the result is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .model import as_rational
+from .model import as_rational, integer_row
 
 DEFAULT_CAP = 24
 
@@ -80,8 +79,7 @@ def exact_mms(values: Sequence, k: int, cap: int = DEFAULT_CAP) -> MmsResult:
         raise InputError(f"{m} items exceeds the search cap of {cap}")
 
     # Work on integers: scale by the common denominator, divide back at the end.
-    denom = math.lcm(*(v.denominator for v in vals)) if vals else 1
-    weights = [int(v * denom) for v in vals]
+    weights, denom = integer_row(vals)
 
     order = sorted(range(m), key=lambda j: (-weights[j], j))
     positive = [j for j in order if weights[j] > 0]

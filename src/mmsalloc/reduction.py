@@ -19,9 +19,11 @@ only shrink, so qualification only gets harder).
 
 A ``ReductionState`` is single-owner and mutated in place by the operations
 here; they hand the state back for chaining.  Its rows are the sorted
-instance's values, read-only and shared by clones; an agent's current value
-is her scale times the raw value, so renormalizing or rescaling her changes
-one number.  The tentative phase snapshots the state first so it can be
+instance's rows with their denominators cleared once (``model.integer_row``),
+read-only and shared by clones; an agent's current value is her rational
+scale times the integer raw value, so a bundle value is one integer sum and
+one ``Fraction`` multiply, and renormalizing or rescaling her changes one
+number.  The tentative phase snapshots the state first so it can be
 undone exactly.  The state reports each removal, before making it, through
 one optional hook that receives the event name, its JSON-ready fields and
 the state itself (the solver's rescale diagnostics use the same hook); it
@@ -32,10 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvariantViolation
-from .model import Instance
+from .model import Instance, integer_row
 
 SHAPES = ("top", "mid_pair", "tail_triple", "top_tail")
 FIXED_SHAPES = ("top", "mid_pair", "tail_triple")
@@ -67,9 +69,11 @@ class ReductionState:
 
     ``agents`` and ``items`` keep their original ids and stay ascending, so
     item order remains descending-by-value for every agent throughout.
-    ``rows[a][j]`` is agent ``a``'s raw value for item ``j``; the rows are
-    never written, and clones share them.  Agent ``a`` values item ``j`` at
-    ``scale[a] * rows[a][j]``; every scale starts at 1.  When
+    ``rows[a][j]`` is agent ``a``'s raw integer value for item ``j``; the
+    rows are never written, and clones share them.  Agent ``a`` values item
+    ``j`` at ``scale[a] * rows[a][j]``; the constructor starts every scale
+    at 1, and ``from_instance`` at ``1/d`` for the common denominator ``d``
+    it cleared from that agent's row.  When
     ``renormalize`` is set, every surviving agent is rescaled after each
     removal so her remaining items sum exactly to the number of remaining
     agents (keeping each maximin share at most 1 via the average bound).
@@ -84,7 +88,7 @@ class ReductionState:
         self,
         agents: Iterable[int],
         items: Iterable[int],
-        rows: Sequence[Sequence[Fraction]],
+        rows: Mapping[int, Sequence[int]],
         renormalize: bool,
     ):
         self.agents: list[int] = sorted(agents)
@@ -106,7 +110,10 @@ class ReductionState:
         renormalize: bool = True,
     ) -> "ReductionState":
         agents = agent_ids if agent_ids is not None else range(inst.n)
-        state = cls(agents, range(inst.m), inst.values, renormalize)
+        cleared = {a: integer_row(inst.values[a]) for a in agents}
+        rows = {a: ints for a, (ints, _) in cleared.items()}
+        state = cls(agents, range(inst.m), rows, renormalize)
+        state.scale = {a: Fraction(1, d) for a, (_, d) in cleared.items()}
         state._restore_rows(kind="fixed")
         return state
 
@@ -120,8 +127,7 @@ class ReductionState:
         return self.bundle_value(agent, self.items)
 
     def bundle_value(self, agent: int, items: Iterable[int]) -> Fraction:
-        row = self.rows[agent]
-        return self.scale[agent] * sum((row[j] for j in items), Fraction(0))
+        return self.scale[agent] * sum(map(self.rows[agent].__getitem__, items))
 
     def scale_row(self, agent: int, factor: Fraction) -> None:
         if factor <= 0:

@@ -319,7 +319,7 @@ def solve_poly34(
     and each completed fixed phase with a clone from after it.  Returns
     (allocation, stats).
     """
-    silent = [i for i in range(inst.n) if inst.total(i) == 0]
+    silent = [i for i in range(inst.n) if not any(inst.values[i])]
     return _solve(
         inst,
         silent,

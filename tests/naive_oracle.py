@@ -3,8 +3,9 @@
 ``naive_mms`` enumerates every one of the k**m ways to drop m items into
 k bundles and takes the best minimum bundle sum.  Exponential and proudly
 so: it exists only to cross-check the real oracle on tiny inputs.  The
-other helpers check a witness partition, rescale one agent's row, and
-take a copy of a reduction state's contents to compare against later.
+other helpers check a witness partition, rescale one agent's row,
+normalize rows in plain ``Fraction`` arithmetic, and take a copy of a
+reduction state's contents to compare against later.
 """
 
 from fractions import Fraction
@@ -50,6 +51,21 @@ def scale_agent(inst: Instance, agent: int, factor: Fraction) -> Instance:
     """Multiply one agent's whole row by a positive rational."""
     rows = list(inst.values)
     rows[agent] = tuple(v * factor for v in rows[agent])
+    return Instance(tuple(rows))
+
+
+def normalize_average_reference(inst: Instance) -> Instance:
+    """``model.normalize_average`` in plain ``Fraction`` arithmetic (each
+    entry times n / row total): the reference its integer rows must match."""
+    n = inst.n
+    rows = []
+    for i in range(n):
+        tot = inst.total(i)
+        if tot == 0:
+            rows.append(inst.values[i])
+        else:
+            c = Fraction(n) / tot
+            rows.append(tuple(v * c for v in inst.values[i]))
     return Instance(tuple(rows))
 
 

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naive_oracle import scale_agent
+from naive_oracle import normalize_average_reference, scale_agent
 
 from mmsalloc.errors import InputError
 from mmsalloc.model import (
     Allocation,
     as_rational,
+    integer_row,
     lift_allocation,
     make_instance,
     normalize_average,
@@ -85,6 +86,31 @@ def test_order_preserves_value_multisets(rows):
         assert sorted(view.ordered.values[i]) == sorted(inst.values[i])
         # ranking is a permutation of the items
         assert sorted(view.ranking[i]) == list(range(inst.m))
+
+
+# Rational entries with mixed denominators, zeros, and equal values written
+# differently ("1/2", "2/4", "0.5"), so ties between items are common.
+RATIONAL_ENTRY = st.one_of(
+    st.sampled_from(["0", "0/3", "1/2", "2/4", "0.5", "3/6", "1", "2/2", "4/3", "8/6"]),
+    st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 6, 7, 9])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda m: st.lists(st.lists(RATIONAL_ENTRY, min_size=m, max_size=m), min_size=1, max_size=4)
+))
+def test_integer_kernel_matches_fraction_reference_on_rational_rows(rows):
+    inst = make_instance(rows)
+    view = order_instance(inst)
+    for i, row in enumerate(inst.values):
+        ints, d = integer_row(row)
+        assert [Fraction(v, d) for v in ints] == list(row)
+        reference = sorted(range(inst.m), key=lambda j: (-row[j], j))
+        assert list(view.ranking[i]) == reference
+        assert view.ordered.values[i] == tuple(row[j] for j in reference)
+    assert normalize_average(inst) == normalize_average_reference(inst)
+    assert normalize_average(view.ordered) == normalize_average_reference(view.ordered)
 
 
 def _random_partition(rng, n, m):

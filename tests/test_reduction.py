@@ -90,6 +90,24 @@ def test_apply_reduction_rejects_unknown_agent_or_items():
         apply_reduction(st_, 0, (9,), "fixed", "top")
 
 
+def test_state_rows_are_integers_and_values_exact():
+    # Mixed denominators, a zero, and equal values written differently: the
+    # state keeps integer rows yet values every bundle exactly as the instance.
+    inst = make_instance(
+        [
+            ["1/2", "2/4", "1/3", 0, "5/6", 2],
+            ["7/9", "1/6", "0.25", "3/4", 0, "1/2"],
+            [3, 1, 4, 1, 5, 9],
+        ]
+    )
+    state = ReductionState.from_instance(inst, renormalize=False)
+    assert all(type(v) is int for a in state.agents for v in state.rows[a])
+    bundles = [(), (0,), (1, 2), (0, 3, 5), tuple(range(inst.m))]
+    for a in state.agents:
+        for bundle in bundles:
+            assert state.bundle_value(a, bundle) == inst.bundle_value(a, bundle)
+
+
 def test_removal_renormalization_discards_earlier_rescale():
     # Pins the open question of the integer row kernel in ROADMAP.md:
     # renormalizing after a removal throws away an earlier rescale of a
