@@ -23,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mmsalloc.oracle import DEFAULT_CAP, exact_mms
+from mmsalloc.oracle import ORACLE_CAP, exact_mms
 
 
 def parse_args():
@@ -33,7 +33,6 @@ def parse_args():
     ap.add_argument("--k", default="2,3,4", help="comma-separated bundle counts")
     ap.add_argument("--trials", type=int, default=5, help="rows per (m, k) cell")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle item cap")
     args = ap.parse_args()
     try:
         args.ks = [int(tok) for tok in args.k.split(",") if tok.strip()]
@@ -45,8 +44,8 @@ def parse_args():
         ap.error(f"--trials must be >= 1, got {args.trials}")
     if args.m_max < args.m_min:
         ap.error(f"--m-max {args.m_max} is below --m-min {args.m_min}")
-    if args.m_max > args.cap:
-        ap.error(f"--m-max {args.m_max} exceeds --cap {args.cap}")
+    if args.m_max > ORACLE_CAP:
+        ap.error(f"--m-max {args.m_max} exceeds the oracle cap of {ORACLE_CAP}")
     return args
 
 
@@ -63,7 +62,7 @@ def main() -> int:
             for _ in range(args.trials):
                 row = [rng.randint(0, 100) for _ in range(m)]
                 start = time.perf_counter()
-                exact_mms(row, k, cap=args.cap)
+                exact_mms(row, k)
                 walls.append(time.perf_counter() - start)
             print(
                 f"{m:>4} {k:>3} {statistics.median(walls):>10.4f}"

@@ -29,18 +29,17 @@ LOW_BAG = Fraction(3, 4)
 HIGH_BAG = Fraction(1)
 
 
-def init_bags(n: int, item_count: int | None = None) -> tuple[tuple[int, ...], ...]:
+def init_bags(n: int, item_count: int) -> tuple[tuple[int, ...], ...]:
     """Bag layout as 1-based positions: bag k pairs position k with 2n-k+1.
 
     Positions beyond ``item_count`` are omitted (bags may then hold one item
     or even none).
 
-    >>> init_bags(3)
+    >>> init_bags(3, 6)
     ((1, 6), (2, 5), (3, 4))
     """
     return tuple(
-        tuple(p for p in (k + 1, 2 * n - k) if item_count is None or p <= item_count)
-        for k in range(n)
+        tuple(p for p in (k + 1, 2 * n - k) if p <= item_count) for k in range(n)
     )
 
 

@@ -29,7 +29,7 @@ from .jsonio import (
     parse_alpha,
 )
 from .model import as_rational
-from .oracle import DEFAULT_CAP, exact_mms
+from .oracle import ORACLE_CAP, exact_mms
 from .reduction import DEFAULT_ALPHA
 from .solver import (
     MODE_BASE,
@@ -65,14 +65,14 @@ def _write_text(path: str | None, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def run_algorithm(name: str, inst, oracle_cap: int):
+def run_algorithm(name: str, inst):
     """Run the allocator named by ``name`` (one of ALGORITHMS)."""
     if name == "poly34":
         return solve_poly34(inst)
     if name == "exist34":
-        return solve_existence(inst, MODE_BASE, oracle_cap=oracle_cap)
+        return solve_existence(inst, MODE_BASE)
     if name == "exist34plus":
-        return solve_existence(inst, MODE_PLUS, oracle_cap=oracle_cap)
+        return solve_existence(inst, MODE_PLUS)
     raise InputError(f"unknown algorithm {name!r}")
 
 
@@ -85,13 +85,11 @@ def target_alpha(name: str, n: int) -> Fraction:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(_read_text(args.input))
-    alloc, stats = run_algorithm(args.algorithm, inst, args.oracle_cap)
+    alloc, stats = run_algorithm(args.algorithm, inst)
     envelope = allocation_to_json(alloc, stats)
     ok = True
     if args.verify:
-        report = check_alpha_mms(
-            inst, alloc, target_alpha(args.algorithm, inst.n), args.oracle_cap
-        )
+        report = check_alpha_mms(inst, alloc, target_alpha(args.algorithm, inst.n))
         envelope["verify"] = report.to_json()
         ok = report.overall
     _write_text(args.output, dump_json(envelope))
@@ -103,7 +101,7 @@ def _cmd_mms(args) -> int:
     if not tokens:
         raise InputError("--values must list at least one value")
     row = [as_rational(t) for t in tokens]
-    res = exact_mms(row, args.k, cap=args.oracle_cap)
+    res = exact_mms(row, args.k)
     print(res.value)
     print(
         ",".join(
@@ -117,7 +115,7 @@ def _cmd_mms(args) -> int:
 def _cmd_verify(args) -> int:
     inst = load_instance(_read_text(args.input))
     alloc = load_allocation(_read_text(args.allocation))
-    report = check_alpha_mms(inst, alloc, parse_alpha(args.alpha), args.oracle_cap)
+    report = check_alpha_mms(inst, alloc, parse_alpha(args.alpha))
     _write_text(args.output, dump_json(report.to_json()))
     return 0 if report.overall else 1
 
@@ -153,8 +151,8 @@ def _bench_specs(args) -> list:
         raise InputError(f"--n must be >= 1, got {n_lo}")
     if m_hi < n_hi:
         raise InputError(f"--m {m_hi} is below --n {n_hi}; trials need m >= n")
-    if m_hi > args.oracle_cap:
-        raise InputError(f"--m {m_hi} exceeds the oracle cap of {args.oracle_cap}")
+    if m_hi > ORACLE_CAP:
+        raise InputError(f"--m {m_hi} exceeds the oracle cap of {ORACLE_CAP}")
     specs = []
     for t in range(args.trials):
         n = n_lo + t % (n_hi - n_lo + 1)
@@ -219,9 +217,9 @@ def _cmd_bench(args) -> int:
         for trial, spec in enumerate(specs):
             inst = gen_instance(spec)
             for name in names:
-                alloc, stats = run_algorithm(name, inst, args.oracle_cap)
+                alloc, stats = run_algorithm(name, inst)
                 alpha = target_alpha(name, inst.n)
-                report = check_alpha_mms(inst, alloc, alpha, args.oracle_cap)
+                report = check_alpha_mms(inst, alloc, alpha)
                 ratios = [r.ratio for r in report.per_agent if r.ratio is not None]
                 tallies[name].add(spec.seed, ratios, alpha, stats, report.overall)
                 min_ratio = str(min(ratios)) if ratios else "NA"
@@ -253,13 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="certify the result against exact shares (oracle-sized instances)",
     )
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("mms", help="exact maximin share of one valuation row")
     p.add_argument("--values", required=True, help="comma-separated values, e.g. 4,3,2,1")
     p.add_argument("--k", type=int, required=True, help="number of bundles")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_mms)
 
     p = sub.add_parser("verify", help="certify an allocation file")
@@ -267,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allocation", required=True, help="allocation JSON file")
     p.add_argument("--alpha", default="3/4", help="guarantee fraction, e.g. 3/4")
     p.add_argument("--output", default=None, help="report JSON file (default stdout)")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
@@ -289,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default="10", help="item count M, or a range LO:HI")
     p.add_argument("--dist", default="uniform:1:100")
     p.add_argument("--algorithms", default="poly34", help="comma-separated subset of: " + ",".join(ALGORITHMS))
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--output", default=None, help="CSV file (default stdout)")
     p.set_defaults(func=_cmd_bench)
 

@@ -67,9 +67,6 @@ class Instance:
         row = self.values[agent]
         return sum((row[j] for j in items), Fraction(0))
 
-    def total(self, agent: int) -> Fraction:
-        return sum(self.values[agent], Fraction(0))
-
 
 def make_instance(values: Sequence[Sequence]) -> Instance:
     """Validate and freeze a valuation matrix.

@@ -27,7 +27,7 @@ from typing import Sequence
 from .errors import InputError
 from .model import as_rational, integer_row
 
-DEFAULT_CAP = 24
+ORACLE_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,10 @@ def _fill_level(loads: list[int], budget: int) -> int:
     return cur  # unreachable for k >= 1
 
 
-def exact_mms(values: Sequence, k: int, cap: int = DEFAULT_CAP) -> MmsResult:
+def exact_mms(values: Sequence, k: int) -> MmsResult:
     """Exact maximin share of `values` over k bundles, with a witness.
 
-    Refuses instances with more than `cap` items (InputError): the search is
+    Refuses rows of more than ORACLE_CAP items (InputError): the search is
     exponential in the worst case and the cap keeps misuse loud.  Zero-value
     items are placed without branching; only positive items are searched.
 
@@ -75,8 +75,8 @@ def exact_mms(values: Sequence, k: int, cap: int = DEFAULT_CAP) -> MmsResult:
         if v < 0:
             raise InputError(f"values[{j}] = {v} is negative")
     m = len(vals)
-    if m > cap:
-        raise InputError(f"{m} items exceeds the search cap of {cap}")
+    if m > ORACLE_CAP:
+        raise InputError(f"{m} items exceeds the search cap of {ORACLE_CAP}")
 
     # Work on integers: scale by the common denominator, divide back at the end.
     weights, denom = integer_row(vals)

@@ -104,15 +104,11 @@ class ReductionState:
 
     @classmethod
     def from_instance(
-        cls,
-        inst: Instance,
-        agent_ids: Sequence[int] | None = None,
-        renormalize: bool = True,
+        cls, inst: Instance, agent_ids: Sequence[int], renormalize: bool = True
     ) -> "ReductionState":
-        agents = agent_ids if agent_ids is not None else range(inst.n)
-        cleared = {a: integer_row(inst.values[a]) for a in agents}
+        cleared = {a: integer_row(inst.values[a]) for a in agent_ids}
         rows = {a: ints for a, (ints, _) in cleared.items()}
-        state = cls(agents, range(inst.m), rows, renormalize)
+        state = cls(agent_ids, range(inst.m), rows, renormalize)
         state.scale = {a: Fraction(1, d) for a, (_, d) in cleared.items()}
         state._restore_rows(kind="fixed")
         return state
@@ -190,12 +186,12 @@ def apply_reduction(
     bundle: Iterable[int],
     kind: str,
     shape: str,
-    alpha: Fraction | None = None,
+    alpha: Fraction,
 ) -> ReductionState:
     """Remove one agent with one bundle, log it, and restore the invariants.
 
-    If ``alpha`` is given, the receiving agent must value the bundle at or
-    above it (InvariantViolation otherwise).  Afterwards any surviving agent
+    The receiving agent must value the bundle at or above ``alpha``
+    (InvariantViolation otherwise).  Afterwards any surviving agent
     whose whole row became zero is removed too (the empty bundle satisfies
     her), and when the state renormalizes, the surviving rows are rescaled
     to sum to the new agent count.
@@ -206,7 +202,7 @@ def apply_reduction(
     item_set = set(state.items)
     if any(j not in item_set for j in bundle):
         raise InvariantViolation(f"bundle {bundle} is not a subset of remaining items")
-    if alpha is not None and state.bundle_value(agent, bundle) < alpha:
+    if state.bundle_value(agent, bundle) < alpha:
         raise InvariantViolation(
             f"agent {agent} values {bundle} at {state.bundle_value(agent, bundle)} < {alpha}"
         )

@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .bags import (
+    LOW_BAG,
     BagFillResult,
     agents_needing_rescale,
     bag_layout,
@@ -46,7 +47,7 @@ from .model import (
     normalize_mms,
     order_instance,
 )
-from .oracle import DEFAULT_CAP, exact_mms
+from .oracle import exact_mms
 from .reduction import (
     DEFAULT_ALPHA,
     FIXED_SHAPES,
@@ -137,8 +138,9 @@ def rescale_candidates(
         cands["open_pair"] = four_thirds * state.bundle_value(agent, (bag_item, filler_item))
     prof = profile_agent(state, agent)
     if prof.low_bags > 0:
+        # The low bags hold LOW_BAG * low_bags - deficit between them.
         cands["bag_deficit"] = (
-            prof.filler_value + Fraction(3, 4) * prof.low_bags - prof.deficit
+            prof.filler_value + LOW_BAG * prof.low_bags - prof.deficit
         ) / (Fraction(7, 8) * prof.low_bags)
     return cands
 
@@ -334,15 +336,14 @@ def solve_poly34(
 def solve_existence(
     inst: Instance,
     mode: str = MODE_BASE,
-    oracle_cap: int = DEFAULT_CAP,
     observer: Callable[[str, dict], None] | None = None,
 ) -> tuple[Allocation, SolveStats]:
     """Allocate with exact maximin shares in hand.
 
     mode selects the guarantee: MODE_BASE gives 3/4 of each share, MODE_PLUS
-    gives 3/4 + 1/(12 n).  Shares come from the exact oracle (so the item
-    count must fit under ``oracle_cap``).  Stats include per-agent ratios
-    against the original instance.  ``observer`` works as in
+    gives 3/4 + 1/(12 n).  Shares come from the exact oracle, so the item
+    count must fit under ``oracle.ORACLE_CAP``.  Stats include per-agent
+    ratios against the original instance.  ``observer`` works as in
     ``solve_poly34``.
     """
     if mode not in (MODE_BASE, MODE_PLUS):
@@ -357,10 +358,7 @@ def solve_existence(
     dropped: list[int] = []
     first_pass: dict[int, Fraction] = {}
     while remaining:
-        shares = {
-            i: exact_mms(inst.values[i], len(remaining), cap=oracle_cap).value
-            for i in remaining
-        }
+        shares = {i: exact_mms(inst.values[i], len(remaining)).value for i in remaining}
         if not first_pass:
             first_pass = shares
         zeroed = [i for i in remaining if shares[i] == 0]

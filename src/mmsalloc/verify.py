@@ -3,7 +3,8 @@
 Everything here recomputes maximin shares from the original instance with
 the exact oracle; nothing trusts solver bookkeeping.  These checks are
 meant for desk-scale instances (the oracle is exponential in the item
-count); beyond the cap the guarantee rests on the algorithm, not on us.
+count and stops at ``ORACLE_CAP``); beyond it the guarantee rests on the
+algorithm, not on us.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from fractions import Fraction
 
 from .errors import InputError
 from .model import Instance, Allocation
-from .oracle import DEFAULT_CAP, exact_mms
-from .reduction import FIXED_SHAPES, ReductionState, candidate_bundles
+from .oracle import exact_mms
+from .reduction import DEFAULT_ALPHA, FIXED_SHAPES, ReductionState, candidate_bundles
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,7 @@ class VerifyReport:
         }
 
 
-def check_alpha_mms(
-    inst: Instance,
-    alloc: Allocation,
-    alpha: Fraction,
-    oracle_cap: int = DEFAULT_CAP,
-) -> VerifyReport:
+def check_alpha_mms(inst: Instance, alloc: Allocation, alpha: Fraction) -> VerifyReport:
     """Certify that every agent's bundle is worth at least alpha times her
     exact maximin share.  The bundles must partition the items."""
     if len(alloc.bundles) != inst.n:
@@ -75,7 +71,7 @@ def check_alpha_mms(
 
     rows = []
     for i in range(inst.n):
-        mms = exact_mms(inst.values[i], inst.n, cap=oracle_cap).value
+        mms = exact_mms(inst.values[i], inst.n).value
         got = inst.bundle_value(i, alloc.bundles[i])
         if mms == 0:
             rows.append(VerifyAgent(i, got, mms, None, True))
@@ -86,11 +82,7 @@ def check_alpha_mms(
 
 
 def check_valid_reduction(
-    inst: Instance,
-    agent: int,
-    bundle: tuple[int, ...],
-    alpha: Fraction,
-    oracle_cap: int = DEFAULT_CAP,
+    inst: Instance, agent: int, bundle: tuple[int, ...], alpha: Fraction
 ) -> bool:
     """True iff removing (agent, bundle) from the instance is harmless:
     the receiver gets at least alpha times her share, and no survivor's
@@ -107,7 +99,7 @@ def check_valid_reduction(
     if not taken <= set(range(inst.m)):
         raise InputError("bundle mentions items outside the instance")
 
-    mu_agent = exact_mms(inst.values[agent], inst.n, cap=oracle_cap).value
+    mu_agent = exact_mms(inst.values[agent], inst.n).value
     if inst.bundle_value(agent, bundle) < alpha * mu_agent:
         return False
 
@@ -115,9 +107,9 @@ def check_valid_reduction(
     for i in range(inst.n):
         if i == agent:
             continue
-        before = exact_mms(inst.values[i], inst.n, cap=oracle_cap).value
+        before = exact_mms(inst.values[i], inst.n).value
         row_after = [inst.values[i][j] for j in rest]
-        after = exact_mms(row_after, inst.n - 1, cap=oracle_cap).value
+        after = exact_mms(row_after, inst.n - 1).value
         if after < before:
             return False
     return True
@@ -133,7 +125,7 @@ def corollary_violations(
     item, the middle pair, the tail triple) under 3/4 + margin.  Returns
     one dict per violated bound; empty means all bounds hold.
     """
-    bound = Fraction(3, 4) + margin
+    bound = DEFAULT_ALPHA + margin
     bundles = list(zip(FIXED_SHAPES, candidate_bundles(state)))
     out: list[dict] = []
     for a in state.agents:

@@ -60,7 +60,7 @@ def normalize_average_reference(inst: Instance) -> Instance:
     n = inst.n
     rows = []
     for i in range(n):
-        tot = inst.total(i)
+        tot = sum(inst.values[i])
         if tot == 0:
             rows.append(inst.values[i])
         else:

@@ -6,8 +6,9 @@ rational arithmetic against the brute-force oracle; there is no tolerance
 anywhere.  The shared sweep solves 1000 seeded instances once and keeps the
 audit trail (reduction snapshots, post-phase state clones, solver stats) for
 the criteria that inspect solver behavior rather than just outcomes.  The
-sweep's poly34 envelopes and criterion 2's exist34plus envelopes are hashed
-against golden digests, so a changed output byte fails here.  The
+sweep's envelopes of all three algorithms (poly34, exist34, and criterion
+2's exist34plus) are hashed against golden digests, so a changed output
+byte fails here.  The
 uniform sweep never reaches the update loop, so criteria 4 and 7 also solve
 20 seeded near-threshold instances on which it fires.
 """
@@ -32,6 +33,7 @@ from mmsalloc.model import (
 )
 from mmsalloc.oracle import exact_mms
 from mmsalloc.solver import (
+    MODE_BASE,
     MODE_PLUS,
     gamma_constant,
     iteration_cap,
@@ -49,9 +51,12 @@ NEAR_COUNT = 20
 ALPHA = Fraction(3, 4)
 
 # sha256 of the sweep's canonical ``solve`` envelopes, concatenated in index
-# order: any change to an output byte of either algorithm shows here.
+# order: any change to an output byte of any algorithm shows here.
 POLY34_SWEEP_SHA256 = (
     "7c3c9aff6097d4908ed59826f973e8b6da2e3288539bf79ccb9329ece1c751a8"
+)
+EXIST34_SWEEP_SHA256 = (
+    "9c1983c896d8d03dc7613e0020fe2b2761b47a67532d58c23a4835c22267955b"
 )
 EXIST34PLUS_SWEEP_SHA256 = (
     "675735d7e9e4192977079a7a9636592d3702078a96bff379f9f4bd31a78db8de"
@@ -157,6 +162,14 @@ def envelope_digest(texts):
 
 def test_sweep_poly34_envelopes_unchanged(sweep):
     assert envelope_digest(sweep.envelopes) == POLY34_SWEEP_SHA256
+
+
+def test_sweep_exist34_envelopes_unchanged(sweep):
+    envelopes = [
+        dump_json(allocation_to_json(*solve_existence(inst, MODE_BASE)))
+        for inst in sweep.instances
+    ]
+    assert envelope_digest(envelopes) == EXIST34_SWEEP_SHA256
 
 
 def test_criterion_1_poly_guarantee(sweep):

@@ -27,9 +27,9 @@ def make_state(rows, renormalize=True):
 
 
 def test_init_bags_pairs_ends():
-    assert init_bags(3) == ((1, 6), (2, 5), (3, 4))
-    assert init_bags(1) == ((1, 2),)
-    assert init_bags(0) == ()
+    assert init_bags(3, 6) == ((1, 6), (2, 5), (3, 4))
+    assert init_bags(1, 2) == ((1, 2),)
+    assert init_bags(0, 0) == ()
 
 
 def test_init_bags_truncates_to_item_count():
@@ -117,7 +117,7 @@ def test_fill_bags_empty_state():
 def test_fill_bags_exhausted_without_renormalization():
     # tiny values, no renormalization: the threshold is out of reach
     inst = make_instance([[Fraction(1, 100)] * 2] * 2)
-    st = ReductionState.from_instance(inst, renormalize=False)
+    st = ReductionState.from_instance(inst, agent_ids=[0, 1], renormalize=False)
     with pytest.raises(InvariantViolation, match="no filler left and no agent accepts"):
         fill_bags(st, Fraction(3, 4))
 

@@ -197,6 +197,21 @@ def test_verify_alpha_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def oracle_cap_cases(tmp_path):
+    # One item past the oracle's cap of 24, through every command that
+    # computes an exact share.
+    big = tmp_path / "big.json"
+    big.write_text(dump_json({"agents": 2, "items": 25, "valuations": [[1] * 25] * 2}))
+    halves = tmp_path / "halves.json"
+    halves.write_text(dump_json({"bundles": [list(range(13)), list(range(13, 25))]}))
+    return [
+        ["solve", "--input", str(big), "--algorithm", "exist34"],
+        ["solve", "--input", str(big), "--verify"],
+        ["verify", "--input", str(big), "--allocation", str(halves)],
+        ["mms", "--values", ",".join(["1"] * 25), "--k", "2"],
+    ]
+
+
 def bad_input_cases(tmp_path):
     not_json = tmp_path / "broken.json"
     not_json.write_text("{")
@@ -224,20 +239,25 @@ def bad_input_cases(tmp_path):
         ["bench", "--trials", "0"],
         ["bench", "--algorithms", "poly34,quux"],
         ["bench", "--trials", "1", "--output", str(tmp_path / "no" / "dir" / "x.csv")],
+        *oracle_cap_cases(tmp_path),
     ]
 
 
 def test_input_errors_exit_2(tmp_path, capsys):
+    cap_cases = oracle_cap_cases(tmp_path)
     for argv in bad_input_cases(tmp_path):
         assert run_cli(argv) == 2, argv
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error:"), argv
+        assert out == "", argv
+        if argv in cap_cases:
+            assert "cap of 24" in err, argv
 
 
 def test_invariant_violations_exit_3(tmp_path, capsys, monkeypatch):
     inst = gen_file(tmp_path, "inst.json", 2, 5, 1)
 
-    def boom(name, instance, oracle_cap):
+    def boom(name, instance):
         raise InvariantViolation("synthetic failure")
 
     monkeypatch.setattr(cli, "run_algorithm", boom)
@@ -322,7 +342,7 @@ def test_bench_range_sweep_certifies_every_guarantee(capsys):
 
 
 def test_bench_exits_1_when_a_guarantee_fails(capsys, monkeypatch):
-    def all_to_agent_0(name, inst, oracle_cap):
+    def all_to_agent_0(name, inst):
         bundles = (tuple(range(inst.m)),) + ((),) * (inst.n - 1)
         return Allocation(bundles), SolveStats(0, 0, 0, 0, None)
 

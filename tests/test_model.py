@@ -52,7 +52,6 @@ def test_instance_accessors():
     inst = make_instance([[4, 3, 2, 1], [1, 1, 1, 1]])
     assert inst.values[0][0] == 4
     assert inst.bundle_value(0, (0, 3)) == 5
-    assert inst.total(1) == 4
 
 
 def test_order_instance_sorts_and_ranks():
@@ -167,14 +166,14 @@ def test_normalize_average_row_sums():
     inst = make_instance([[4, 3, 2, 1], [1, 1, 1, 1]])
     norm = normalize_average(inst)
     for i in range(norm.n):
-        assert norm.total(i) == norm.n
+        assert sum(norm.values[i]) == norm.n
 
 
 def test_normalize_average_keeps_zero_rows():
     inst = make_instance([[0, 0], [3, 1]])
     norm = normalize_average(inst)
     assert norm.values[0] == (0, 0)
-    assert norm.total(1) == 2
+    assert sum(norm.values[1]) == 2
 
 
 @given(
@@ -185,7 +184,7 @@ def test_normalize_average_keeps_zero_rows():
 def test_normalize_average_scale_invariant(row, p, q):
     # scaling one agent's row first changes nothing after normalization
     inst = make_instance([row, row])
-    if inst.total(0) == 0:
+    if sum(inst.values[0]) == 0:
         return
     scaled = scale_agent(inst, 0, Fraction(p, q))
     assert normalize_average(scaled) == normalize_average(inst)
@@ -206,8 +205,8 @@ def test_normalize_mms_identity_and_division():
 def test_normalize_mms_two_agents_row_sum():
     inst = make_instance([[4, 3, 2, 1], [4, 3, 2, 1]])
     normed = normalize_mms(inst, [Fraction(5), Fraction(5)])
-    assert normed.total(0) == 2
-    assert normed.total(1) == 2
+    assert sum(normed.values[0]) == 2
+    assert sum(normed.values[1]) == 2
 
 
 def test_normalize_mms_rejects_zero_share():

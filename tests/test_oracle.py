@@ -76,8 +76,6 @@ def test_input_validation():
         exact_mms([1, -1], 2)
     with pytest.raises(InputError, match="25 items exceeds the search cap of 24"):
         exact_mms([1] * 25, 2)
-    with pytest.raises(InputError, match="10 items exceeds the search cap of 9"):
-        exact_mms([1] * 10, 2, cap=9)
 
 
 def test_partition_min_validates_coverage():

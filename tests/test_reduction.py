@@ -29,7 +29,7 @@ def state_from_rows(rows, renormalize=True):
     inst = make_instance(rows)
     view = order_instance(inst)
     norm = normalize_average(view.ordered)
-    ids = [i for i in range(inst.n) if inst.total(i) > 0]
+    ids = [i for i in range(inst.n) if sum(inst.values[i]) > 0]
     return ReductionState.from_instance(norm, agent_ids=ids, renormalize=renormalize)
 
 
@@ -70,7 +70,7 @@ def test_first_qualifying_agent_exact_threshold():
 
 def test_apply_reduction_renormalizes_survivors():
     st_ = state_from_rows([[6, 2, 2, 2], [3, 3, 3, 3]])
-    apply_reduction(st_, 0, (0,), "fixed", "top")
+    apply_reduction(st_, 0, (0,), "fixed", "top", alpha=Fraction(0))
     assert st_.agents == [1]
     assert st_.items == [1, 2, 3]
     assert st_.total(1) == 1
@@ -85,9 +85,9 @@ def test_apply_reduction_threshold_guard():
 def test_apply_reduction_rejects_unknown_agent_or_items():
     st_ = state_from_rows([[2, 1], [2, 1]])
     with pytest.raises(InvariantViolation):
-        apply_reduction(st_, 7, (0,), "fixed", "top")
+        apply_reduction(st_, 7, (0,), "fixed", "top", alpha=Fraction(0))
     with pytest.raises(InvariantViolation):
-        apply_reduction(st_, 0, (9,), "fixed", "top")
+        apply_reduction(st_, 0, (9,), "fixed", "top", alpha=Fraction(0))
 
 
 def test_state_rows_are_integers_and_values_exact():
@@ -100,7 +100,7 @@ def test_state_rows_are_integers_and_values_exact():
             [3, 1, 4, 1, 5, 9],
         ]
     )
-    state = ReductionState.from_instance(inst, renormalize=False)
+    state = ReductionState.from_instance(inst, agent_ids=[0, 1, 2], renormalize=False)
     assert all(type(v) is int for a in state.agents for v in state.rows[a])
     bundles = [(), (0,), (1, 2), (0, 3, 5), tuple(range(inst.m))]
     for a in state.agents:
@@ -115,7 +115,7 @@ def test_removal_renormalization_discards_earlier_rescale():
     st_ = state_from_rows([[6, 2, 2, 2], [3, 3, 3, 3], [1, 2, 3, 4]])
     st_.scale_row(2, Fraction(2))
     assert st_.total(2) == 6
-    apply_reduction(st_, 0, (0,), "fixed", "top")
+    apply_reduction(st_, 0, (0,), "fixed", "top", alpha=Fraction(0))
     assert st_.agents == [1, 2]
     assert st_.total(2) == len(st_.agents)
 
@@ -123,7 +123,7 @@ def test_removal_renormalization_discards_earlier_rescale():
 def test_zero_row_cascade():
     # once items 0 and 1 leave, agent 1 values nothing and must exit too
     st_ = state_from_rows([[4, 4, 1, 1], [5, 5, 0, 0], [1, 1, 1, 1]])
-    apply_reduction(st_, 0, (0, 1), "fixed", "mid_pair")
+    apply_reduction(st_, 0, (0, 1), "fixed", "mid_pair", alpha=Fraction(0))
     assert st_.agents == [2]
     shapes = [(r.agent, r.shape, r.bundle) for r in st_.log]
     assert (0, "mid_pair", (0, 1)) in shapes
@@ -213,7 +213,7 @@ def test_fixed_reductions_are_valid_reductions(data):
         )
     )
     inst = make_instance(rows)
-    if any(inst.total(i) == 0 for i in range(n)):
+    if any(sum(inst.values[i]) == 0 for i in range(n)):
         return
     snapshots = []
 
