@@ -78,24 +78,19 @@ class AgentProfile:
 
 
 def profile_agent(state: ReductionState, agent: int) -> AgentProfile:
+    # With her scale p/q, a bag of raw value r is below a/b exactly when r*p*b < a*q.
     bags, fillers = bag_layout(state)
-    bag_values = [state.bundle_value(agent, bag) for bag in bags]
-    low_vals = [v for v in bag_values if v < LOW_BAG]
-    high_count = sum(1 for v in bag_values if v > HIGH_BAG)
-    deficit = sum((LOW_BAG - v for v in low_vals), Fraction(0))
-    filler_value = state.bundle_value(agent, fillers)
-    needs = (
-        high_count > len(low_vals)
-        and filler_value < deficit + Fraction(len(low_vals), 8)
-    )
-    return AgentProfile(
-        agent=agent,
-        low_bags=len(low_vals),
-        high_bags=high_count,
-        deficit=deficit,
-        filler_value=filler_value,
-        needs_rescale=needs,
-    )
+    row, s = state.rows[agent], state.scale[agent]
+    low_lhs, low_rhs = s.numerator * LOW_BAG.denominator, LOW_BAG.numerator * s.denominator
+    high_lhs, high_rhs = s.numerator * HIGH_BAG.denominator, HIGH_BAG.numerator * s.denominator
+    raws = [sum(map(row.__getitem__, bag)) for bag in bags]
+    low = [r for r in raws if r * low_lhs < low_rhs]
+    high_count = sum(r * high_lhs > high_rhs for r in raws)
+    # LOW_BAG * len(low) - s * sum(low), over one common denominator.
+    deficit = Fraction(low_rhs * len(low) - low_lhs * sum(low), LOW_BAG.denominator * s.denominator)
+    filler_value = s * sum(map(row.__getitem__, fillers))
+    needs = high_count > len(low) and filler_value < deficit + Fraction(len(low), 8)
+    return AgentProfile(agent, len(low), high_count, deficit, filler_value, needs)
 
 
 def agents_needing_rescale(state: ReductionState) -> Iterator[int]:

@@ -85,6 +85,8 @@ def target_alpha(name: str, n: int) -> Fraction:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(_read_text(args.input))
+    if args.verify and inst.m > ORACLE_CAP:  # refuse before solving, as exact_mms would after
+        raise InputError(f"{inst.m} items exceeds the search cap of {ORACLE_CAP}")
     alloc, stats = run_algorithm(args.algorithm, inst)
     envelope = allocation_to_json(alloc, stats)
     ok = True

@@ -2,10 +2,10 @@
 
 Values are exact rationals (`fractions.Fraction`) at the API.  Floats are
 rejected at the door so that no rounding can creep into the solver path.
-Row-level work (sorting, summing, normalizing) clears each row's
-denominators once with `integer_row` and runs on plain ints; every result
-is the same rational it would be in `Fraction` arithmetic.  All operations
-are pure: the same inputs give bit-identical outputs.
+`order_instance` clears each row's denominators once (`integer_row`) and
+keeps the sorted ints, and normalization gives one scale per agent, so the
+solvers never build a normalized copy; every value is the same rational.
+All operations are pure: the same inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -111,11 +111,14 @@ class OrderedView:
 
     ranking[i][p] is the original item id sitting at sorted position p for
     agent i.  Ties sort by ascending original item id, so the view is
-    deterministic.
+    deterministic.  ordered.values[i][p] is
+    ``Fraction(int_rows[i][p], denominators[i])``.
     """
 
     ordered: Instance
     ranking: tuple[tuple[int, ...], ...]
+    int_rows: tuple[tuple[int, ...], ...]
+    denominators: tuple[int, ...]
 
 
 def order_instance(inst: Instance) -> OrderedView:
@@ -129,13 +132,19 @@ def order_instance(inst: Instance) -> OrderedView:
     """
     ordered_rows = []
     rankings = []
+    int_rows = []
+    denominators = []
     for row in inst.values:
-        ints, _ = integer_row(row)
+        ints, d = integer_row(row)
         # A stable sort stays stable under reverse=True: ties keep ascending ids.
         order = sorted(range(len(row)), key=ints.__getitem__, reverse=True)
         rankings.append(tuple(order))
-        ordered_rows.append(tuple(row[j] for j in order))
-    return OrderedView(Instance(tuple(ordered_rows)), tuple(rankings))
+        ordered_rows.append(tuple(map(row.__getitem__, order)))
+        int_rows.append(tuple(map(ints.__getitem__, order)))
+        denominators.append(d)
+    return OrderedView(
+        Instance(tuple(ordered_rows)), tuple(rankings), tuple(int_rows), tuple(denominators)
+    )
 
 
 @dataclass(frozen=True)
@@ -197,37 +206,30 @@ def lift_allocation(inst: Instance, view: OrderedView, alloc: Allocation) -> All
     )
 
 
-def normalize_average(inst: Instance) -> Instance:
-    """Rescale every row so it sums to the number of agents.
-
-    After this, each agent's maximin share is at most 1 (she cannot make
-    every one of n bundles worth more than the average).  Rows that sum to
-    zero cannot be rescaled and are left untouched; any bundle satisfies
-    such an agent.  Entry j of a row cleared to ``ints`` becomes
-    ``ints[j] * n / sum(ints)``, the same rational as ``v * n / total``.
+def normalize_average(view: OrderedView, agents: Sequence[int]) -> dict[int, Fraction]:
+    """One scale per agent of ``agents``, ``len(agents) / sum(int_row)``, so
+    her scaled row sums to the agent count and her maximin share is at most
+    1 (the average bound).  A zero row keeps ``1 / d``, its plain values;
+    any bundle satisfies such an agent.
     """
-    n = inst.n
-    rows = []
-    for row in inst.values:
-        ints, _ = integer_row(row)
-        total = sum(ints)
-        rows.append(tuple(Fraction(v * n, total) for v in ints) if total else row)
-    return Instance(tuple(rows))
+    scales = {}
+    for a in agents:
+        total = sum(view.int_rows[a])
+        scales[a] = Fraction(len(agents), total) if total else Fraction(1, view.denominators[a])
+    return scales
 
 
-def normalize_mms(inst: Instance, shares: Sequence) -> Instance:
-    """Divide each row by that agent's maximin share, making every share 1.
-
-    Raises InputError when any supplied share is not strictly positive.
+def normalize_mms(view: OrderedView, shares: Sequence) -> dict[int, Fraction]:
+    """One scale per agent of the view, ``1 / (d * share)``, making every
+    share 1.  Raises InputError unless there is one strictly positive share
+    per agent.
     """
-    if len(shares) != inst.n:
-        raise InputError(
-            f"expected {inst.n} share values, got {len(shares)}"
-        )
-    rows = []
-    for i in range(inst.n):
-        mu = as_rational(shares[i])
+    if len(shares) != len(view.denominators):
+        raise InputError(f"expected {len(view.denominators)} share values, got {len(shares)}")
+    scales = {}
+    for i, (share, d) in enumerate(zip(shares, view.denominators)):
+        mu = as_rational(share)
         if mu <= 0:
             raise InputError(f"agent {i} share {mu} is not positive")
-        rows.append(tuple(v / mu for v in inst.values[i]))
-    return Instance(tuple(rows))
+        scales[i] = 1 / (d * mu)
+    return scales

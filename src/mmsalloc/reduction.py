@@ -19,12 +19,11 @@ only shrink, so qualification only gets harder).
 
 A ``ReductionState`` is single-owner and mutated in place by the operations
 here; they hand the state back for chaining.  Its rows are the sorted
-instance's rows with their denominators cleared once (``model.integer_row``),
-read-only and shared by clones; an agent's current value is her rational
-scale times the integer raw value, so a bundle value is one integer sum and
-one ``Fraction`` multiply, and renormalizing or rescaling her changes one
-number.  The tentative phase snapshots the state first so it can be
-undone exactly.  The state reports each removal, before making it, through
+integer rows that ``model.order_instance`` cleared, read-only and shared by
+clones; an agent's value is her rational scale times the raw int, so a
+rescale changes one number, and a threshold test (``values_at_least``) is
+an integer sum and cross-multiplication.  The tentative phase snapshots the
+state first so it can be undone exactly.  The state reports each removal, before making it, through
 one optional hook that receives the event name, its JSON-ready fields and
 the state itself (the solver's rescale diagnostics use the same hook); it
 copies nothing, so whoever listens decides what to keep.
@@ -37,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvariantViolation
-from .model import Instance, integer_row
+from .model import OrderedView
 
 SHAPES = ("top", "mid_pair", "tail_triple", "top_tail")
 FIXED_SHAPES = ("top", "mid_pair", "tail_triple")
@@ -71,9 +70,7 @@ class ReductionState:
     item order remains descending-by-value for every agent throughout.
     ``rows[a][j]`` is agent ``a``'s raw integer value for item ``j``; the
     rows are never written, and clones share them.  Agent ``a`` values item
-    ``j`` at ``scale[a] * rows[a][j]``; the constructor starts every scale
-    at 1, and ``from_instance`` at ``1/d`` for the common denominator ``d``
-    it cleared from that agent's row.  When
+    ``j`` at ``scale[a] * rows[a][j]``, and every scale is positive.  When
     ``renormalize`` is set, every surviving agent is rescaled after each
     removal so her remaining items sum exactly to the number of remaining
     agents (keeping each maximin share at most 1 via the average bound).
@@ -88,13 +85,14 @@ class ReductionState:
         self,
         agents: Iterable[int],
         items: Iterable[int],
-        rows: Mapping[int, Sequence[int]],
+        rows: Sequence[Sequence[int]],
+        scale: Mapping[int, Fraction],
         renormalize: bool,
     ):
         self.agents: list[int] = sorted(agents)
         self.items: list[int] = sorted(items)
         self.rows = rows
-        self.scale: dict[int, Fraction] = {a: Fraction(1) for a in self.agents}
+        self.scale: dict[int, Fraction] = {a: scale[a] for a in self.agents}
         self.renormalize = renormalize
         self.log: list[AssignmentRecord] = []
         self.observer: Callable[[str, dict, ReductionState], None] | None = None
@@ -104,18 +102,16 @@ class ReductionState:
 
     @classmethod
     def from_instance(
-        cls, inst: Instance, agent_ids: Sequence[int], renormalize: bool = True
+        cls, view: OrderedView, agent_ids: Sequence[int], scales: Mapping, renormalize: bool = True
     ) -> "ReductionState":
-        cleared = {a: integer_row(inst.values[a]) for a in agent_ids}
-        rows = {a: ints for a, (ints, _) in cleared.items()}
-        state = cls(agent_ids, range(inst.m), rows, renormalize)
-        state.scale = {a: Fraction(1, d) for a, (_, d) in cleared.items()}
+        """All of ``view``'s items and ``agent_ids``, each agent on her sorted
+        integer row at her starting scale (see ``model.normalize_*``)."""
+        state = cls(agent_ids, range(view.ordered.m), view.int_rows, scales, renormalize)
         state._restore_rows(kind="fixed")
         return state
 
     def clone(self) -> "ReductionState":
-        twin = ReductionState(self.agents, self.items, self.rows, self.renormalize)
-        twin.scale = dict(self.scale)
+        twin = ReductionState(self.agents, self.items, self.rows, self.scale, self.renormalize)
         twin.log = list(self.log)
         return twin
 
@@ -124,6 +120,12 @@ class ReductionState:
 
     def bundle_value(self, agent: int, items: Iterable[int]) -> Fraction:
         return self.scale[agent] * sum(map(self.rows[agent].__getitem__, items))
+
+    def values_at_least(self, agent: int, items: Iterable[int], alpha: Fraction) -> bool:
+        """``bundle_value(agent, items) >= alpha``, compared on ints."""
+        s = self.scale[agent]
+        raw = sum(map(self.rows[agent].__getitem__, items))
+        return raw * s.numerator * alpha.denominator >= alpha.numerator * s.denominator
 
     def scale_row(self, agent: int, factor: Fraction) -> None:
         if factor <= 0:
@@ -177,7 +179,7 @@ def first_qualifying_agent(
 ) -> int | None:
     """The first of ``agents`` who values the bundle at or above alpha (exact
     compare), or None when nobody does; later agents are never evaluated."""
-    return next((a for a in agents if state.bundle_value(a, bundle) >= alpha), None)
+    return next((a for a in agents if state.values_at_least(a, bundle, alpha)), None)
 
 
 def apply_reduction(
@@ -202,7 +204,7 @@ def apply_reduction(
     item_set = set(state.items)
     if any(j not in item_set for j in bundle):
         raise InvariantViolation(f"bundle {bundle} is not a subset of remaining items")
-    if state.bundle_value(agent, bundle) < alpha:
+    if not state.values_at_least(agent, bundle, alpha):
         raise InvariantViolation(
             f"agent {agent} values {bundle} at {state.bundle_value(agent, bundle)} < {alpha}"
         )

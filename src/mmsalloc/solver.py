@@ -1,21 +1,22 @@
 """End-to-end allocation pipelines.
 
-Both solvers run one pipeline, ``_solve``: sort items, normalize
-valuations, greedily remove satisfied (agent, bundle) pairs, deal the rest
-into end-to-end bags, fill the bags, then translate everything back to the
-original items.  The front ends supply only what differs: which agents
-leave with the empty bundle, the normalizer, the reduction phase, the
-fill threshold, and the shares behind ``per_agent_ratio``.
+Both solvers run one pipeline, ``_solve``: sort items (clearing each row's
+denominators once), give each active agent a starting scale, greedily
+remove satisfied (agent, bundle) pairs, deal the rest into end-to-end bags,
+fill the bags, then translate everything back to the original items.  The
+front ends supply only what differs: which agents leave with the empty
+bundle, the normalizer, the reduction phase, the fill threshold, and the
+shares behind ``per_agent_ratio``.  Threshold tests run on integer rows.
 
 ``solve_poly34`` guarantees every agent 3/4 of her maximin share without
-ever computing a maximin share: rows are normalized to the average bound
-instead and renormalized after each removal (strongly polynomial).
+ever computing a maximin share: each row is scaled to the average bound
+instead and rescaled after each removal (strongly polynomial).
 Whenever the bag profiles prove some agent's working bound is
 overestimated, the tentative removals are rolled back, that agent's row is
 rescaled by the tightest certified bound, and the removal phases rerun.
 
 ``solve_existence`` computes each agent's exact maximin share first (via
-the branch-and-bound oracle), normalizes by it, and removes all four
+the branch-and-bound oracle), scales each row by it, and removes all four
 bundle shapes once; in plus mode the guarantee rises to 3/4 + 1/(12 n).
 
 Each solve reports through one event stream: the records end up in
@@ -240,7 +241,7 @@ def _compose_allocation(
 def _solve(
     inst: Instance,
     dropped: list[int],
-    normalize: Callable[[Instance], Instance],
+    normalize: Callable[[OrderedView, list[int]], dict[int, Fraction]],
     reduce: Callable[[ReductionState, Callable[..., None]], tuple[ReductionState, int]],
     alpha: Fraction,
     shares: list[Fraction] | None,
@@ -249,10 +250,10 @@ def _solve(
     """The pipeline both solvers share.
 
     ``dropped`` lists the agents the empty bundle satisfies, in the order
-    their removals are reported; everyone else is active.  The sorted
-    instance is normalized by ``normalize``, the active agents go through
-    the ``reduce`` phase (which returns the final state and its update-loop
-    iteration count), and whoever is left gets a bag filled to ``alpha``.
+    their removals are reported; everyone else is active.  ``normalize``
+    gives each active agent a starting scale, they go through the ``reduce``
+    phase (which returns the final state and its update-loop iteration
+    count), and whoever is left gets a bag filled to ``alpha``.
     ``shares`` are the exact shares at the full agent count when the caller
     has them; they give ``per_agent_ratio``.  Without them, rows are
     renormalized to the agent count after every removal.
@@ -287,7 +288,7 @@ def _solve(
     else:
         view = order_instance(inst)
         state = ReductionState.from_instance(
-            normalize(view.ordered), agent_ids=active, renormalize=shares is None
+            view, active, normalize(view, active), renormalize=shares is None
         )
         state.observer = emit
         state, iterations = reduce(state, emit)
@@ -367,15 +368,12 @@ def solve_existence(
         dropped.extend(zeroed)
         remaining = [i for i in remaining if shares[i] > 0]
 
-    # Dropped agents get a placeholder share of 1; their rows never enter
-    # the reduction state anyway.
-    def normalize(ordered: Instance) -> Instance:
-        return normalize_mms(ordered, [shares.get(i, Fraction(1)) for i in range(inst.n)])
-
     return _solve(
         inst,
         dropped,
-        normalize,
+        # Dropped agents get a placeholder share of 1; their rows never enter
+        # the reduction state anyway.
+        lambda view, active: normalize_mms(view, [shares.get(i, 1) for i in range(inst.n)]),
         reduce=lambda state, emit: (reduce_all_shapes(state, alpha), 0),
         alpha=alpha,
         shares=[first_pass[i] for i in range(inst.n)],

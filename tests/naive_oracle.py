@@ -4,13 +4,15 @@
 k bundles and takes the best minimum bundle sum.  Exponential and proudly
 so: it exists only to cross-check the real oracle on tiny inputs.  The
 other helpers check a witness partition, rescale one agent's row,
-normalize rows in plain ``Fraction`` arithmetic, and take a copy of a
-reduction state's contents to compare against later.
+normalize rows and profile an agent's bags in plain ``Fraction``
+arithmetic, and take a copy of a reduction state's contents to compare
+against later.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from mmsalloc.bags import AgentProfile, bag_layout
 from mmsalloc.errors import InputError
 from mmsalloc.model import Instance
 
@@ -67,6 +69,27 @@ def normalize_average_reference(inst: Instance) -> Instance:
             c = Fraction(n) / tot
             rows.append(tuple(v * c for v in inst.values[i]))
     return Instance(tuple(rows))
+
+
+def profile_agent_reference(state, agent: int) -> AgentProfile:
+    """``bags.profile_agent`` in plain ``Fraction`` arithmetic: every bag
+    valued, compared against 3/4 and 1, and summed as a rational."""
+    low, high = Fraction(3, 4), Fraction(1)
+    bags, fillers = bag_layout(state)
+    bag_values = [state.bundle_value(agent, bag) for bag in bags]
+    low_vals = [v for v in bag_values if v < low]
+    high_count = sum(1 for v in bag_values if v > high)
+    deficit = sum((low - v for v in low_vals), Fraction(0))
+    filler_value = state.bundle_value(agent, fillers)
+    needs = high_count > len(low_vals) and filler_value < deficit + Fraction(len(low_vals), 8)
+    return AgentProfile(
+        agent=agent,
+        low_bags=len(low_vals),
+        high_bags=high_count,
+        deficit=deficit,
+        filler_value=filler_value,
+        needs_rescale=needs,
+    )
 
 
 def state_key(state):

@@ -1,28 +1,31 @@
 """Bag layout, agent profiles, and the filling round."""
 
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
-from naive_oracle import state_key
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from naive_oracle import profile_agent_reference, state_key
 
 import mmsalloc.bags as bags_mod
 from mmsalloc.bags import (
     agents_needing_rescale,
+    bag_layout,
     fill_bags,
     init_bags,
     profile_agent,
 )
 from mmsalloc.errors import InvariantViolation
 from mmsalloc.model import make_instance, normalize_average, order_instance
-from mmsalloc.reduction import ReductionState
+from mmsalloc.reduction import ReductionState, apply_reduction, candidate_bundles
 
 
 def make_state(rows, renormalize=True):
-    inst = make_instance(rows)
-    view = order_instance(inst)
-    norm = normalize_average(view.ordered)
+    view = order_instance(make_instance(rows))
+    ids = list(range(len(rows)))
     return ReductionState.from_instance(
-        norm, agent_ids=list(range(inst.n)), renormalize=renormalize
+        view, ids, normalize_average(view, ids), renormalize=renormalize
     )
 
 
@@ -116,8 +119,9 @@ def test_fill_bags_empty_state():
 
 def test_fill_bags_exhausted_without_renormalization():
     # tiny values, no renormalization: the threshold is out of reach
-    inst = make_instance([[Fraction(1, 100)] * 2] * 2)
-    st = ReductionState.from_instance(inst, agent_ids=[0, 1], renormalize=False)
+    view = order_instance(make_instance([[Fraction(1, 100)] * 2] * 2))
+    scales = {a: Fraction(1, d) for a, d in enumerate(view.denominators)}
+    st = ReductionState.from_instance(view, [0, 1], scales, renormalize=False)
     with pytest.raises(InvariantViolation, match="no filler left and no agent accepts"):
         fill_bags(st, Fraction(3, 4))
 
@@ -127,3 +131,64 @@ def test_fill_bags_is_read_only():
     before = state_key(st)
     fill_bags(st, Fraction(3, 4))
     assert state_key(st) == before
+
+
+# Rows with mixed denominators, then a few steps on the state: a rescale by
+# a drawn factor, a rescale that puts a drawn bundle exactly on a threshold,
+# or a removal (which renormalizes the survivors).
+ENTRY = st.builds(Fraction, st.integers(0, 40), st.sampled_from([1, 2, 3, 5, 6, 7, 12]))
+STEP = st.tuples(
+    st.sampled_from(["scale", "pin", "remove"]),
+    st.integers(0, 10**6),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.integers(n, 4 * n).flatmap(
+                lambda m: st.lists(st.lists(ENTRY, min_size=m, max_size=m), min_size=n, max_size=n)
+            ),
+            st.lists(STEP, max_size=4),
+            st.lists(st.integers(0, 10**6), min_size=3, max_size=3),
+        )
+    )
+)
+def test_integer_thresholds_match_fraction_reference(case):
+    rows, steps, picks = case
+    state = make_state(rows)
+    alphas = [Fraction(3, 4), Fraction(3, 4) + Fraction(1, 12 * len(rows)), Fraction(1)]
+
+    def bundles():
+        bags, fillers = bag_layout(state)
+        drawn = tuple(j for k, j in enumerate(state.items) if picks[k % 3] >> k & 1)
+        return [*bags, tuple(fillers), *candidate_bundles(state), tuple(state.items), drawn]
+
+    def check():
+        for a in state.agents:
+            for bundle in bundles():
+                value = state.bundle_value(a, bundle)
+                for alpha in alphas:
+                    assert state.values_at_least(a, bundle, alpha) == (value >= alpha)
+            assert asdict(profile_agent(state, a)) == asdict(profile_agent_reference(state, a))
+
+    check()
+    for kind, pick, factor in steps:
+        if not state.agents:
+            break
+        agent = state.agents[pick % len(state.agents)]
+        if kind == "scale":
+            state.scale_row(agent, factor)
+        elif kind == "pin":
+            options = [b for b in bundles() if state.bundle_value(agent, b) > 0]
+            if options:
+                bundle = options[pick % len(options)]
+                alpha = alphas[pick % len(alphas)]
+                state.scale_row(agent, alpha / state.bundle_value(agent, bundle))
+                assert state.values_at_least(agent, bundle, alpha)
+                assert not state.values_at_least(agent, bundle, alpha + Fraction(1, 10**9))
+        elif state.items:
+            apply_reduction(state, agent, (state.items[0],), "fixed", "top", alpha=Fraction(0))
+        check()

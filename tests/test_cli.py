@@ -254,6 +254,17 @@ def test_input_errors_exit_2(tmp_path, capsys):
             assert "cap of 24" in err, argv
 
 
+def test_solve_verify_refuses_over_cap_before_solving(tmp_path, capsys, monkeypatch):
+    inst = gen_file(tmp_path, "wide.json", 60, 600, 1)
+    solved = []
+    monkeypatch.setattr(cli, "run_algorithm", lambda name, instance: solved.append(name))
+    assert run_cli(["solve", "--input", str(inst), "--verify"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "600 items exceeds the search cap of 24" in err
+    assert solved == []
+
+
 def test_invariant_violations_exit_3(tmp_path, capsys, monkeypatch):
     inst = gen_file(tmp_path, "inst.json", 2, 5, 1)
 

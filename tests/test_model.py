@@ -108,8 +108,17 @@ def test_integer_kernel_matches_fraction_reference_on_rational_rows(rows):
         reference = sorted(range(inst.m), key=lambda j: (-row[j], j))
         assert list(view.ranking[i]) == reference
         assert view.ordered.values[i] == tuple(row[j] for j in reference)
-    assert normalize_average(inst) == normalize_average_reference(inst)
-    assert normalize_average(view.ordered) == normalize_average_reference(view.ordered)
+        assert view.denominators[i] == d
+        assert view.int_rows[i] == tuple(ints[j] for j in reference)
+    # Each scale times its sorted int row is the reference's normalized row,
+    # entry by entry, whether the reference normalizes sorted or original rows.
+    scales = normalize_average(view, range(inst.n))
+    sorted_ref = normalize_average_reference(view.ordered)
+    original_ref = normalize_average_reference(inst)
+    for i in range(inst.n):
+        scaled = [scales[i] * v for v in view.int_rows[i]]
+        assert scaled == list(sorted_ref.values[i])
+        assert scaled == [original_ref.values[i][j] for j in view.ranking[i]]
 
 
 def _random_partition(rng, n, m):
@@ -162,18 +171,25 @@ def test_lift_identity_when_rows_agree():
     assert lifted.bundles == ((0, 2), (1,))
 
 
+def scaled_rows(view, scales):
+    return {a: [scale * v for v in view.int_rows[a]] for a, scale in scales.items()}
+
+
 def test_normalize_average_row_sums():
-    inst = make_instance([[4, 3, 2, 1], [1, 1, 1, 1]])
-    norm = normalize_average(inst)
-    for i in range(norm.n):
-        assert sum(norm.values[i]) == norm.n
+    view = order_instance(make_instance([[4, 3, 2, 1], ["1/2", "1/3", "1/6", 1]]))
+    rows = scaled_rows(view, normalize_average(view, [0, 1]))
+    assert all(sum(rows[a]) == 2 for a in (0, 1))
+    # the agent count is that of the agents asked for, not of the instance
+    assert sum(scaled_rows(view, normalize_average(view, [1]))[1]) == 1
 
 
 def test_normalize_average_keeps_zero_rows():
-    inst = make_instance([[0, 0], [3, 1]])
-    norm = normalize_average(inst)
-    assert norm.values[0] == (0, 0)
-    assert sum(norm.values[1]) == 2
+    view = order_instance(make_instance([[0, 0], ["3/2", "1/2"]]))
+    scales = normalize_average(view, [0, 1])
+    assert scales[0] == Fraction(1, view.denominators[0])
+    rows = scaled_rows(view, scales)
+    assert rows[0] == [0, 0]
+    assert sum(rows[1]) == 2
 
 
 @given(
@@ -186,30 +202,42 @@ def test_normalize_average_scale_invariant(row, p, q):
     inst = make_instance([row, row])
     if sum(inst.values[0]) == 0:
         return
-    scaled = scale_agent(inst, 0, Fraction(p, q))
-    assert normalize_average(scaled) == normalize_average(inst)
-
-
-def test_normalize_mms_identity_and_division():
-    inst = make_instance([[4, 3, 2, 1]])
-    assert normalize_mms(inst, [Fraction(1)]) == inst
-    normed = normalize_mms(inst, [Fraction(10)])
-    assert normed.values[0] == (
-        Fraction(2, 5),
-        Fraction(3, 10),
-        Fraction(1, 5),
-        Fraction(1, 10),
+    view = order_instance(inst)
+    scaled_view = order_instance(scale_agent(inst, 0, Fraction(p, q)))
+    assert scaled_rows(scaled_view, normalize_average(scaled_view, [0, 1])) == scaled_rows(
+        view, normalize_average(view, [0, 1])
     )
 
 
+def test_normalize_mms_identity_and_division():
+    view = order_instance(make_instance([[4, 3, 2, 1]]))
+    assert scaled_rows(view, normalize_mms(view, [Fraction(1)])) == {0: [4, 3, 2, 1]}
+    rows = scaled_rows(view, normalize_mms(view, ["10"]))
+    assert rows[0] == [Fraction(2, 5), Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)]
+
+
+def test_normalize_mms_divides_cleared_rows():
+    view = order_instance(make_instance([["1/2", "1/3"], [4, 3]]))
+    scales = normalize_mms(view, [Fraction(1, 3), Fraction(7, 2)])
+    assert scales == {0: Fraction(1, 2), 1: Fraction(2, 7)}
+    rows = scaled_rows(view, scales)
+    assert rows == {0: [Fraction(3, 2), 1], 1: [Fraction(8, 7), Fraction(6, 7)]}
+
+
 def test_normalize_mms_two_agents_row_sum():
-    inst = make_instance([[4, 3, 2, 1], [4, 3, 2, 1]])
-    normed = normalize_mms(inst, [Fraction(5), Fraction(5)])
-    assert sum(normed.values[0]) == 2
-    assert sum(normed.values[1]) == 2
+    view = order_instance(make_instance([[4, 3, 2, 1], [4, 3, 2, 1]]))
+    rows = scaled_rows(view, normalize_mms(view, [Fraction(5), Fraction(5)]))
+    assert sum(rows[0]) == 2
+    assert sum(rows[1]) == 2
 
 
 def test_normalize_mms_rejects_zero_share():
-    inst = make_instance([[1, 1]])
+    view = order_instance(make_instance([[1, 1]]))
     with pytest.raises(InputError, match="agent 0 share 0 is not positive"):
-        normalize_mms(inst, [Fraction(0)])
+        normalize_mms(view, [Fraction(0)])
+
+
+def test_normalize_mms_rejects_wrong_share_count():
+    view = order_instance(make_instance([[1, 1]]))
+    with pytest.raises(InputError, match="expected 1 share values, got 2"):
+        normalize_mms(view, [1, 1])

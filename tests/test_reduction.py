@@ -28,9 +28,9 @@ from mmsalloc.verify import check_valid_reduction
 def state_from_rows(rows, renormalize=True):
     inst = make_instance(rows)
     view = order_instance(inst)
-    norm = normalize_average(view.ordered)
+    scales = normalize_average(view, range(inst.n))
     ids = [i for i in range(inst.n) if sum(inst.values[i]) > 0]
-    return ReductionState.from_instance(norm, agent_ids=ids, renormalize=renormalize)
+    return ReductionState.from_instance(view, ids, scales, renormalize=renormalize)
 
 
 def test_candidate_bundle_positions():
@@ -100,12 +100,17 @@ def test_state_rows_are_integers_and_values_exact():
             [3, 1, 4, 1, 5, 9],
         ]
     )
-    state = ReductionState.from_instance(inst, agent_ids=[0, 1, 2], renormalize=False)
+    # Starting at 1/d, the state values the sorted rows as they are.
+    view = order_instance(inst)
+    scales = {a: Fraction(1, d) for a, d in enumerate(view.denominators)}
+    state = ReductionState.from_instance(view, [0, 1, 2], scales, renormalize=False)
     assert all(type(v) is int for a in state.agents for v in state.rows[a])
     bundles = [(), (0,), (1, 2), (0, 3, 5), tuple(range(inst.m))]
     for a in state.agents:
         for bundle in bundles:
-            assert state.bundle_value(a, bundle) == inst.bundle_value(a, bundle)
+            assert state.bundle_value(a, bundle) == view.ordered.bundle_value(a, bundle)
+            unsorted = [view.ranking[a][p] for p in bundle]
+            assert state.bundle_value(a, bundle) == inst.bundle_value(a, unsorted)
 
 
 def test_removal_renormalization_discards_earlier_rescale():
@@ -222,9 +227,8 @@ def test_fixed_reductions_are_valid_reductions(data):
             snapshots.append({**fields, "state": state.clone()})
 
     view = order_instance(inst)
-    st_ = ReductionState.from_instance(
-        normalize_average(view.ordered), agent_ids=list(range(n))
-    )
+    ids = list(range(n))
+    st_ = ReductionState.from_instance(view, ids, normalize_average(view, ids))
     st_.observer = observer
     reduce_fixed(st_)
     # every removal starts from restored rows, and so does the final state:

@@ -37,6 +37,12 @@ CASCADE_ROWS = [
 FIVE_CANDIDATE_ROW = [7400, 7000, 3700, 3600, 3550, 3500] + [96] * 13 + [2]
 
 
+def average_state(inst):
+    view = order_instance(inst)
+    ids = list(range(inst.n))
+    return ReductionState.from_instance(view, ids, normalize_average(view, ids))
+
+
 def partitioned(inst, alloc):
     flat = sorted(j for b in alloc.bundles for j in b)
     return flat == list(range(inst.m))
@@ -56,10 +62,7 @@ def test_iteration_cap():
 
 def test_rescale_candidates_all_five():
     inst = make_instance([FIVE_CANDIDATE_ROW] * 3)
-    view = order_instance(inst)
-    st = ReductionState.from_instance(
-        normalize_average(view.ordered), agent_ids=[0, 1, 2]
-    )
+    st = average_state(inst)
     cands = rescale_candidates(st, 0)
     assert cands == {
         "top": Fraction(74, 75),
@@ -73,10 +76,7 @@ def test_rescale_candidates_all_five():
 
 def test_rescale_candidates_respect_held_out():
     inst = make_instance([FIVE_CANDIDATE_ROW] * 3)
-    view = order_instance(inst)
-    st = ReductionState.from_instance(
-        normalize_average(view.ordered), agent_ids=[0, 1, 2]
-    )
+    st = average_state(inst)
     # holding out the best bag item and best filler moves the open pair
     # to the next positions (7000 and the next 96)
     held = {0, 6}
@@ -281,10 +281,7 @@ def test_held_out_collection_after_real_tentative_phase():
     a = [700, 500, 400, 340, 250, 250, 150, 150, 100, 80, 50, 20, 10]
     b = [740, 740, 375, 374, 372, 372, 5, 5, 5, 5, 5, 1, 1]
     inst = make_instance([a, b, [1] * 13])
-    view = order_instance(inst)
-    st = ReductionState.from_instance(
-        normalize_average(view.ordered), agent_ids=[0, 1, 2]
-    )
+    st = average_state(inst)
     before = state_key(st)
     reduce_tentative(st)
     held = set()
@@ -299,10 +296,7 @@ def test_held_out_collection_after_real_tentative_phase():
 
 def test_update_upper_bound_with_held_out_items():
     inst = make_instance([FIVE_CANDIDATE_ROW] * 3)
-    view = order_instance(inst)
-    st = ReductionState.from_instance(
-        normalize_average(view.ordered), agent_ids=[0, 1, 2]
-    )
+    st = average_state(inst)
     # with the top item and best filler held out, the open pair weakens
     # below the top candidate, which becomes the binding bound
     bound = update_upper_bound(st, 0, {0, 6})

@@ -21,10 +21,9 @@ from mmsalloc.verify import (
 
 
 def make_state(rows):
-    inst = make_instance(rows)
-    view = order_instance(inst)
-    norm = normalize_average(view.ordered)
-    return ReductionState.from_instance(norm, agent_ids=list(range(inst.n)))
+    view = order_instance(make_instance(rows))
+    ids = list(range(len(rows)))
+    return ReductionState.from_instance(view, ids, normalize_average(view, ids))
 
 
 def test_check_alpha_mms_single_agent():
