@@ -2,9 +2,9 @@
 
 After the reduction phases nothing short of a combined bundle can satisfy
 anyone, so the remaining items are dealt into n two-item bags that pair the
-j-th largest item with the (2n-j+1)-th: bag k holds positions {k, 2n-k+1}.
-Items past position 2n are "fillers".  Each round tops a bag up with fillers
-(largest first) until some remaining agent accepts it.
+j-th largest item with the (2n-j+1)-th (``bag_layout``).  Items past the
+first 2n are "fillers".  Each round tops a bag up with fillers (largest
+first) until some remaining agent accepts it.
 
 The per-agent profile measures how far the bags are from uniform for that
 agent: how many bags sit below the acceptance threshold (and by how much in
@@ -29,30 +29,20 @@ LOW_BAG = Fraction(3, 4)
 HIGH_BAG = Fraction(1)
 
 
-def init_bags(n: int, item_count: int) -> tuple[tuple[int, ...], ...]:
-    """Bag layout as 1-based positions: bag k pairs position k with 2n-k+1.
-
-    Positions beyond ``item_count`` are omitted (bags may then hold one item
-    or even none).
-
-    >>> init_bags(3, 6)
-    ((1, 6), (2, 5), (3, 4))
-    """
-    return tuple(
-        tuple(p for p in (k + 1, 2 * n - k) if p <= item_count) for k in range(n)
-    )
-
-
 def bag_layout(
     state: ReductionState,
 ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """The bags of ``init_bags`` as item-id tuples for the state's remaining
-    agents and items, and the fillers (the items past position 2n, in
-    descending value order)."""
+    """The bags and the fillers for the state's remaining agents and items.
+
+    With n agents, bag k (counting from 0) pairs ``items[k]`` with
+    ``items[2n-1-k]``, dropping an index past the last item, so a bag may
+    hold one item or none.  The fillers are the items from index 2n on, in
+    descending value order.
+    """
     n = len(state.agents)
     items = state.items
-    bags = tuple(tuple(items[p - 1] for p in bag) for bag in init_bags(n, len(items)))
-    return bags, items[min(2 * n, len(items)):]
+    bags = tuple(tuple(items[p] for p in (k, 2 * n - 1 - k) if p < len(items)) for k in range(n))
+    return bags, items[2 * n:]
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Values are exact rationals (`fractions.Fraction`) at the API.  Floats are
 rejected at the door so that no rounding can creep into the solver path.
 `order_instance` clears each row's denominators once (`integer_row`) and
-keeps the sorted ints, and normalization gives one scale per agent, so the
-solvers never build a normalized copy; every value is the same rational.
+keeps only the sorted ints and each row's denominator, and normalization
+gives one scale per agent, so the solvers never build a sorted or
+normalized `Fraction` copy; every value is the same rational.
 All operations are pure: the same inputs give bit-identical outputs.
 """
 
@@ -107,15 +108,14 @@ def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class OrderedView:
-    """An instance whose rows are sorted descending, plus the way back.
+    """Every agent's row sorted descending, as cleared ints, plus the way back.
 
     ranking[i][p] is the original item id sitting at sorted position p for
     agent i.  Ties sort by ascending original item id, so the view is
-    deterministic.  ordered.values[i][p] is
+    deterministic.  Agent i values sorted position p at
     ``Fraction(int_rows[i][p], denominators[i])``.
     """
 
-    ordered: Instance
     ranking: tuple[tuple[int, ...], ...]
     int_rows: tuple[tuple[int, ...], ...]
     denominators: tuple[int, ...]
@@ -124,13 +124,12 @@ class OrderedView:
 def order_instance(inst: Instance) -> OrderedView:
     """Sort every agent's row into descending order of value.
 
-    >>> view = order_instance(make_instance([[1, 3, 2]]))
-    >>> view.ordered.values[0]
-    (Fraction(3, 1), Fraction(2, 1), Fraction(1, 1))
+    >>> view = order_instance(make_instance([[1, "3/2", 2]]))
+    >>> view.int_rows[0], view.denominators[0]
+    ((4, 3, 2), 2)
     >>> view.ranking[0]
-    (1, 2, 0)
+    (2, 1, 0)
     """
-    ordered_rows = []
     rankings = []
     int_rows = []
     denominators = []
@@ -139,12 +138,9 @@ def order_instance(inst: Instance) -> OrderedView:
         # A stable sort stays stable under reverse=True: ties keep ascending ids.
         order = sorted(range(len(row)), key=ints.__getitem__, reverse=True)
         rankings.append(tuple(order))
-        ordered_rows.append(tuple(map(row.__getitem__, order)))
         int_rows.append(tuple(map(ints.__getitem__, order)))
         denominators.append(d)
-    return OrderedView(
-        Instance(tuple(ordered_rows)), tuple(rankings), tuple(int_rows), tuple(denominators)
-    )
+    return OrderedView(tuple(rankings), tuple(int_rows), tuple(denominators))
 
 
 @dataclass(frozen=True)

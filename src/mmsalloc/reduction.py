@@ -21,12 +21,14 @@ A ``ReductionState`` is single-owner and mutated in place by the operations
 here; they hand the state back for chaining.  Its rows are the sorted
 integer rows that ``model.order_instance`` cleared, read-only and shared by
 clones; an agent's value is her rational scale times the raw int, so a
-rescale changes one number, and a threshold test (``values_at_least``) is
-an integer sum and cross-multiplication.  The tentative phase snapshots the
-state first so it can be undone exactly.  The state reports each removal, before making it, through
-one optional hook that receives the event name, its JSON-ready fields and
-the state itself (the solver's rescale diagnostics use the same hook); it
-copies nothing, so whoever listens decides what to keep.
+rescale multiplies one number, a renormalization sets it to the agent
+count over her raw sum, and a threshold test (``values_at_least``) is an
+integer sum and cross-multiplication.  The tentative phase snapshots the
+state first so it can be undone exactly.  The state reports each removal,
+before making it, through one optional hook that receives the event name,
+its JSON-ready fields and the state itself (the solver's rescale
+diagnostics use the same hook); it copies nothing, so whoever listens
+decides what to keep.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import InvariantViolation
 from .model import OrderedView
 
 SHAPES = ("top", "mid_pair", "tail_triple", "top_tail")
-FIXED_SHAPES = ("top", "mid_pair", "tail_triple")
+FIXED_SHAPES = SHAPES[:3]
 DEFAULT_ALPHA = Fraction(3, 4)
 
 # Shape tag for the degenerate removal of an agent whose remaining row summed
@@ -106,7 +108,7 @@ class ReductionState:
     ) -> "ReductionState":
         """All of ``view``'s items and ``agent_ids``, each agent on her sorted
         integer row at her starting scale (see ``model.normalize_*``)."""
-        state = cls(agent_ids, range(view.ordered.m), view.int_rows, scales, renormalize)
+        state = cls(agent_ids, range(len(view.int_rows[0])), view.int_rows, scales, renormalize)
         state._restore_rows(kind="fixed")
         return state
 
@@ -114,9 +116,6 @@ class ReductionState:
         twin = ReductionState(self.agents, self.items, self.rows, self.scale, self.renormalize)
         twin.log = list(self.log)
         return twin
-
-    def total(self, agent: int) -> Fraction:
-        return self.bundle_value(agent, self.items)
 
     def bundle_value(self, agent: int, items: Iterable[int]) -> Fraction:
         return self.scale[agent] * sum(map(self.rows[agent].__getitem__, items))
@@ -137,22 +136,20 @@ class ReductionState:
             self.observer(event, fields, self)
 
     def _restore_rows(self, kind: str) -> None:
-        """Sum each surviving row over the remaining items once; remove every
-        agent whose sum is zero (in ascending order, each logged as a
+        """Sum each surviving raw row over the remaining items once; remove
+        every agent whose sum is zero (in ascending order, each logged as a
         ``kind`` removal with the empty bundle), then, when the state
-        renormalizes, rescale every other agent to sum to the new agent
-        count."""
-        totals = {a: self.total(a) for a in self.agents}
-        for a in [a for a in self.agents if totals[a] == 0]:
+        renormalizes, set every other agent's scale to the new agent count
+        over her raw sum, so her remaining items sum to the agent count."""
+        raws = {a: sum(map(self.rows[a].__getitem__, self.items)) for a in self.agents}
+        for a in [a for a in self.agents if raws[a] == 0]:
             record = AssignmentRecord(a, (), kind, ZERO_SHAPE)
             self._notify("reduce", record.to_json())
             self.agents.remove(a)
             self.log.append(record)
         if self.renormalize:
-            target = Fraction(len(self.agents))
             for a in self.agents:
-                if totals[a] != target:
-                    self.scale_row(a, target / totals[a])
+                self.scale[a] = Fraction(len(self.agents), raws[a])
 
 
 def candidate_bundles(state: ReductionState) -> tuple[tuple[int, ...], ...]:
@@ -227,9 +224,10 @@ def _greedy_loop(
     shapes: tuple[str, ...],
     kind: str,
 ) -> ReductionState:
+    # ``shapes`` is a prefix of SHAPES, so zipping keeps the priority order.
     while state.agents:
-        for shape, bundle in zip(SHAPES, candidate_bundles(state)):
-            if shape not in shapes or not bundle:
+        for shape, bundle in zip(shapes, candidate_bundles(state)):
+            if not bundle:
                 continue
             agent = first_qualifying_agent(state, state.agents, bundle, alpha)
             if agent is not None:

@@ -267,7 +267,7 @@ def test_criterion_5_ordering_lift():
         ordered_alloc = Allocation(tuple(tuple(b) for b in buckets))
         lifted = lift_allocation(inst, view, ordered_alloc)
         for i in range(n):
-            before = view.ordered.bundle_value(i, ordered_alloc.bundles[i])
+            before = inst.bundle_value(i, [view.ranking[i][p] for p in ordered_alloc.bundles[i]])
             after = inst.bundle_value(i, lifted.bundles[i])
             if after < before:
                 failures += 1

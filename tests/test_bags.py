@@ -13,7 +13,6 @@ from mmsalloc.bags import (
     agents_needing_rescale,
     bag_layout,
     fill_bags,
-    init_bags,
     profile_agent,
 )
 from mmsalloc.errors import InvariantViolation
@@ -29,16 +28,31 @@ def make_state(rows, renormalize=True):
     )
 
 
-def test_init_bags_pairs_ends():
-    assert init_bags(3, 6) == ((1, 6), (2, 5), (3, 4))
-    assert init_bags(1, 2) == ((1, 2),)
-    assert init_bags(0, 0) == ()
+def layout(n, m):
+    # n agents over items range(m); bag_layout reads only agents and items.
+    scales = {a: Fraction(1) for a in range(n)}
+    return bag_layout(ReductionState(range(n), range(m), [[1] * m] * n, scales, False))
 
 
-def test_init_bags_truncates_to_item_count():
-    assert init_bags(3, item_count=4) == ((1,), (2,), (3, 4))
-    assert init_bags(2, item_count=2) == ((1,), (2,))
-    assert init_bags(2, item_count=0) == ((), ())
+def test_bag_layout_pairs_ends():
+    assert layout(3, 6) == (((0, 5), (1, 4), (2, 3)), [])
+    assert layout(1, 2) == (((0, 1),), [])
+    assert layout(0, 0) == ((), [])
+    assert layout(2, 7) == (((0, 3), (1, 2)), [4, 5, 6])
+
+
+def test_bag_layout_truncates_to_item_count():
+    assert layout(3, 4) == (((0,), (1,), (2, 3)), [])
+    assert layout(2, 2) == (((0,), (1,)), [])
+    assert layout(2, 0) == (((), ()), [])
+
+
+def test_bag_layout_holds_item_ids_after_a_removal():
+    # Bags index the remaining items, so after item 0 leaves they hold ids.
+    st = make_state([[9, 5, 4, 3, 2, 1, 1]] * 3)
+    apply_reduction(st, 0, (0,), "fixed", "top", alpha=Fraction(0))
+    assert st.items == [1, 2, 3, 4, 5, 6]
+    assert bag_layout(st) == (((1, 4), (2, 3)), [5, 6])
 
 
 def test_profile_classify_example():

@@ -54,10 +54,15 @@ def test_instance_accessors():
     assert inst.bundle_value(0, (0, 3)) == 5
 
 
+def sorted_row(view, i):
+    """Agent i's values in sorted order, read from the view's cleared ints."""
+    return tuple(Fraction(v, view.denominators[i]) for v in view.int_rows[i])
+
+
 def test_order_instance_sorts_and_ranks():
     inst = make_instance([[5, 1, 3, 3]])
     view = order_instance(inst)
-    assert view.ordered.values[0] == (5, 3, 3, 1)
+    assert sorted_row(view, 0) == (5, 3, 3, 1)
     # ties broken by ascending original id
     assert view.ranking[0] == (0, 2, 3, 1)
 
@@ -65,8 +70,8 @@ def test_order_instance_sorts_and_ranks():
 def test_order_instance_rows_independent():
     inst = make_instance([[1, 2, 3], [3, 2, 1]])
     view = order_instance(inst)
-    assert view.ordered.values[0] == (3, 2, 1)
-    assert view.ordered.values[1] == (3, 2, 1)
+    assert sorted_row(view, 0) == (3, 2, 1)
+    assert sorted_row(view, 1) == (3, 2, 1)
     assert view.ranking[0] == (2, 1, 0)
     assert view.ranking[1] == (0, 1, 2)
 
@@ -82,7 +87,7 @@ def test_order_preserves_value_multisets(rows):
     inst = make_instance(rows)
     view = order_instance(inst)
     for i in range(inst.n):
-        assert sorted(view.ordered.values[i]) == sorted(inst.values[i])
+        assert sorted(sorted_row(view, i)) == sorted(inst.values[i])
         # ranking is a permutation of the items
         assert sorted(view.ranking[i]) == list(range(inst.m))
 
@@ -107,13 +112,14 @@ def test_integer_kernel_matches_fraction_reference_on_rational_rows(rows):
         assert [Fraction(v, d) for v in ints] == list(row)
         reference = sorted(range(inst.m), key=lambda j: (-row[j], j))
         assert list(view.ranking[i]) == reference
-        assert view.ordered.values[i] == tuple(row[j] for j in reference)
+        assert sorted_row(view, i) == tuple(row[j] for j in reference)
         assert view.denominators[i] == d
         assert view.int_rows[i] == tuple(ints[j] for j in reference)
     # Each scale times its sorted int row is the reference's normalized row,
     # entry by entry, whether the reference normalizes sorted or original rows.
     scales = normalize_average(view, range(inst.n))
-    sorted_ref = normalize_average_reference(view.ordered)
+    sorted_rows = [[row[j] for j in view.ranking[i]] for i, row in enumerate(inst.values)]
+    sorted_ref = normalize_average_reference(make_instance(sorted_rows))
     original_ref = normalize_average_reference(inst)
     for i in range(inst.n):
         scaled = [scales[i] * v for v in view.int_rows[i]]
@@ -150,7 +156,7 @@ def test_lift_never_loses_value(data):
     lifted = lift_allocation(inst, view, alloc)
     for i in range(n):
         got = inst.bundle_value(i, lifted.bundles[i])
-        positional = view.ordered.bundle_value(i, alloc.bundles[i])
+        positional = inst.bundle_value(i, [view.ranking[i][p] for p in alloc.bundles[i]])
         assert got >= positional
 
 
