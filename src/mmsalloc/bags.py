@@ -12,7 +12,8 @@ total), how many sit above the high-water mark, and how much filler value
 exists to make up the difference.  A profile where high bags outnumber low
 bags while fillers cannot cover the shortfall is the signal that the
 agent's working share bound is overestimated and must be rescaled before
-bag filling can be trusted.
+bag filling can be trusted.  A scan never changes the state, so it builds
+the layout once for all its profiles; a fill cross-multiplies each alpha once.
 """
 
 from __future__ import annotations
@@ -22,16 +23,17 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import InvariantViolation
-from .reduction import ReductionState, first_qualifying_agent
+from .reduction import ReductionState
 
 # A profile's low and high bag values, in units of the working share bound.
 LOW_BAG = Fraction(3, 4)
 HIGH_BAG = Fraction(1)
 
+# The bags, then the fillers: built once per state and shared by its profiles.
+Layout = tuple[tuple[tuple[int, ...], ...], list[int]]
 
-def bag_layout(
-    state: ReductionState,
-) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+
+def bag_layout(state: ReductionState) -> Layout:
     """The bags and the fillers for the state's remaining agents and items.
 
     With n agents, bag k (counting from 0) pairs ``items[k]`` with
@@ -67,12 +69,11 @@ class AgentProfile:
     needs_rescale: bool
 
 
-def profile_agent(state: ReductionState, agent: int) -> AgentProfile:
-    # With her scale p/q, a bag of raw value r is below a/b exactly when r*p*b < a*q.
-    bags, fillers = bag_layout(state)
+def profile_agent(state: ReductionState, agent: int, layout: Layout) -> AgentProfile:
+    bags, fillers = layout
     row, s = state.rows[agent], state.scale[agent]
-    low_lhs, low_rhs = s.numerator * LOW_BAG.denominator, LOW_BAG.numerator * s.denominator
-    high_lhs, high_rhs = s.numerator * HIGH_BAG.denominator, HIGH_BAG.numerator * s.denominator
+    low_lhs, low_rhs = state.cross_terms(agent, LOW_BAG)
+    high_lhs, high_rhs = state.cross_terms(agent, HIGH_BAG)
     raws = [sum(map(row.__getitem__, bag)) for bag in bags]
     low = [r for r in raws if r * low_lhs < low_rhs]
     high_count = sum(r * high_lhs > high_rhs for r in raws)
@@ -86,10 +87,11 @@ def profile_agent(state: ReductionState, agent: int) -> AgentProfile:
 def agents_needing_rescale(state: ReductionState) -> Iterator[int]:
     """Agents whose profile demands an upper-bound rescale, ascending by id.
 
-    Lazy: each agent is profiled only when the iterator reaches her, so
-    ``next(agents_needing_rescale(state), None)`` stops at the first one.
+    Lazy: each agent is profiled, on the one layout, only when the iterator
+    reaches her, so ``next(agents_needing_rescale(state), None)`` stops there.
     """
-    return (a for a in state.agents if profile_agent(state, a).needs_rescale)
+    layout = bag_layout(state)
+    return (a for a in state.agents if profile_agent(state, a, layout).needs_rescale)
 
 
 @dataclass(frozen=True)
@@ -110,35 +112,33 @@ def fill_bags(state: ReductionState, alpha: Fraction) -> BagFillResult:
     nobody satisfied, which signals a broken precondition upstream, never an
     expected outcome.
     """
-    agents = list(state.agents)
     bags, fillers = bag_layout(state)
+    # Scales stay put while the bags fill: agent a accepts raw r when r*lhs >= rhs.
+    terms = {a: (state.rows[a].__getitem__, *state.cross_terms(a, alpha)) for a in state.agents}
 
-    assignments = []
-    trace = []
+    def first_accepting(bundle: list[int]) -> int | None:
+        hits = (a for a, (get, lhs, rhs) in terms.items() if sum(map(get, bundle)) * lhs >= rhs)
+        return next(hits, None)
+
+    assignments, trace = [], []
     next_filler = 0
     for rnd, bag in enumerate(bags):
-        bundle = list(bag)
-        added = []
-        while True:
-            winner = first_qualifying_agent(state, agents, bundle, alpha)
-            if winner is not None:
-                break
+        bundle, first_filler = list(bag), next_filler
+        while (winner := first_accepting(bundle)) is None:
             if next_filler >= len(fillers):
                 raise InvariantViolation(
                     f"round {rnd}: no filler left and no agent accepts {bundle}"
                 )
-            extra = fillers[next_filler]
+            bundle.append(fillers[next_filler])
             next_filler += 1
-            bundle.append(extra)
-            added.append(extra)
-        agents.remove(winner)
+        del terms[winner]
         final = tuple(sorted(bundle))
         assignments.append((winner, final))
         trace.append(
             {
                 "round": rnd,
                 "base_bag": list(bag),
-                "added": added,
+                "added": fillers[first_filler:next_filler],
                 "agent": winner,
                 "value": str(state.bundle_value(winner, final)),
             }

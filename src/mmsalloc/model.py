@@ -96,14 +96,18 @@ def make_instance(values: Sequence[Sequence]) -> Instance:
 def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """The row over one common denominator: ``row[j] == Fraction(ints[j], d)``.
 
-    ``d`` is the least common multiple of the row's denominators (1 for an
-    empty row), so the ints sort, sum and compare exactly as the row does.
+    ``d`` is the least common multiple of the row's denominators, each read
+    once, so the ints sort, sum and compare exactly as the row does.
 
     >>> integer_row([Fraction(1, 2), Fraction(2, 3), Fraction(0)])
     ([3, 4, 0], 6)
+    >>> integer_row([Fraction(5), Fraction(0), Fraction(7)]), integer_row([])
+    (([5, 0, 7], 1), ([], 1))
     """
-    d = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (d // v.denominator) for v in row], d
+    dens = [v.denominator for v in row]
+    if (d := math.lcm(*dens)) == 1:
+        return [v.numerator for v in row], d
+    return [v.numerator * (d // e) for v, e in zip(row, dens)], d
 
 
 @dataclass(frozen=True)

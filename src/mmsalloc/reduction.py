@@ -21,18 +21,20 @@ A ``ReductionState`` is single-owner and mutated in place by the operations
 here; they hand the state back for chaining.  Its rows are the sorted
 integer rows that ``model.order_instance`` cleared, read-only and shared by
 clones; an agent's value is her rational scale times the raw int, so a
-rescale multiplies one number, a renormalization sets it to the agent
-count over her raw sum, and a threshold test (``values_at_least``) is an
-integer sum and cross-multiplication.  The tentative phase snapshots the
-state first so it can be undone exactly.  The state reports each removal,
-before making it, through one optional hook that receives the event name,
-its JSON-ready fields and the state itself (the solver's rescale
+rescale multiplies one number, a threshold test (``values_at_least``) is an
+integer sum and cross-multiplication, and a renormalization sets the scale
+to the agent count over her raw total, summed once when the state is built
+and then only reduced by each removed bundle.  The tentative phase snapshots
+the state first so it can be undone exactly.  The state reports each
+removal, before making it, through one optional hook that receives the event
+name, its JSON-ready fields and the state itself (the solver's rescale
 diagnostics use the same hook); it copies nothing, so whoever listens
 decides what to keep.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -72,10 +74,11 @@ class ReductionState:
     item order remains descending-by-value for every agent throughout.
     ``rows[a][j]`` is agent ``a``'s raw integer value for item ``j``; the
     rows are never written, and clones share them.  Agent ``a`` values item
-    ``j`` at ``scale[a] * rows[a][j]``, and every scale is positive.  When
-    ``renormalize`` is set, every surviving agent is rescaled after each
-    removal so her remaining items sum exactly to the number of remaining
-    agents (keeping each maximin share at most 1 via the average bound).
+    ``j`` at ``scale[a] * rows[a][j]``, every scale is positive, and
+    ``totals[a]`` is her raw sum over ``items``.  When ``renormalize`` is
+    set, every surviving agent is rescaled after each removal so her
+    remaining items sum exactly to the number of remaining agents (keeping
+    each maximin share at most 1 via the average bound).
 
     An optional ``observer`` callable receives ``(event, fields, state)``
     before each removal, with the JSON-ready fields of the event and this
@@ -95,6 +98,7 @@ class ReductionState:
         self.items: list[int] = sorted(items)
         self.rows = rows
         self.scale: dict[int, Fraction] = {a: scale[a] for a in self.agents}
+        self.totals = {a: sum(map(rows[a].__getitem__, self.items)) for a in self.agents}
         self.renormalize = renormalize
         self.log: list[AssignmentRecord] = []
         self.observer: Callable[[str, dict, ReductionState], None] | None = None
@@ -113,18 +117,24 @@ class ReductionState:
         return state
 
     def clone(self) -> "ReductionState":
-        twin = ReductionState(self.agents, self.items, self.rows, self.scale, self.renormalize)
-        twin.log = list(self.log)
+        twin = copy.copy(self)
+        twin.agents, twin.items, twin.log = list(self.agents), list(self.items), list(self.log)
+        twin.scale, twin.totals = dict(self.scale), dict(self.totals)
+        twin.observer = twin._snapshot = None
         return twin
 
     def bundle_value(self, agent: int, items: Iterable[int]) -> Fraction:
         return self.scale[agent] * sum(map(self.rows[agent].__getitem__, items))
 
+    def cross_terms(self, agent: int, alpha: Fraction) -> tuple[int, int]:
+        """``(lhs, rhs)``: ``agent`` values raw ``r`` at ``alpha`` or more iff ``r*lhs >= rhs``."""
+        s = self.scale[agent]
+        return s.numerator * alpha.denominator, alpha.numerator * s.denominator
+
     def values_at_least(self, agent: int, items: Iterable[int], alpha: Fraction) -> bool:
         """``bundle_value(agent, items) >= alpha``, compared on ints."""
-        s = self.scale[agent]
-        raw = sum(map(self.rows[agent].__getitem__, items))
-        return raw * s.numerator * alpha.denominator >= alpha.numerator * s.denominator
+        lhs, rhs = self.cross_terms(agent, alpha)
+        return sum(map(self.rows[agent].__getitem__, items)) * lhs >= rhs
 
     def scale_row(self, agent: int, factor: Fraction) -> None:
         if factor <= 0:
@@ -136,20 +146,19 @@ class ReductionState:
             self.observer(event, fields, self)
 
     def _restore_rows(self, kind: str) -> None:
-        """Sum each surviving raw row over the remaining items once; remove
-        every agent whose sum is zero (in ascending order, each logged as a
-        ``kind`` removal with the empty bundle), then, when the state
-        renormalizes, set every other agent's scale to the new agent count
-        over her raw sum, so her remaining items sum to the agent count."""
-        raws = {a: sum(map(self.rows[a].__getitem__, self.items)) for a in self.agents}
-        for a in [a for a in self.agents if raws[a] == 0]:
+        """Remove every agent whose raw total is zero (ascending, each logged
+        as a ``kind`` removal with the empty bundle), then, when the state
+        renormalizes, set every other agent's scale to the agent count over
+        her total, so her remaining items sum to it.  Sums no row."""
+        for a in [a for a in self.agents if self.totals[a] == 0]:
             record = AssignmentRecord(a, (), kind, ZERO_SHAPE)
             self._notify("reduce", record.to_json())
             self.agents.remove(a)
+            del self.totals[a]
             self.log.append(record)
         if self.renormalize:
             for a in self.agents:
-                self.scale[a] = Fraction(len(self.agents), raws[a])
+                self.scale[a] = Fraction(len(self.agents), self.totals[a])
 
 
 def candidate_bundles(state: ReductionState) -> tuple[tuple[int, ...], ...]:
@@ -198,8 +207,8 @@ def apply_reduction(
     bundle = tuple(bundle)
     if agent not in state.agents:
         raise InvariantViolation(f"agent {agent} is not in the state")
-    item_set = set(state.items)
-    if any(j not in item_set for j in bundle):
+    removed = set(bundle)
+    if not removed <= set(state.items):
         raise InvariantViolation(f"bundle {bundle} is not a subset of remaining items")
     if not state.values_at_least(agent, bundle, alpha):
         raise InvariantViolation(
@@ -210,8 +219,10 @@ def apply_reduction(
     state._notify("reduce", record.to_json())
 
     state.agents.remove(agent)
-    removed = set(bundle)
     state.items = [j for j in state.items if j not in removed]
+    for a in state.agents:
+        state.totals[a] -= sum(map(state.rows[a].__getitem__, bundle))
+    del state.totals[agent]
     state.log.append(record)
 
     state._restore_rows(kind=kind)

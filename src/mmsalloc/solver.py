@@ -131,13 +131,13 @@ def rescale_candidates(
         shape: four_thirds * state.bundle_value(agent, bundle)
         for shape, bundle in zip(FIXED_SHAPES, candidate_bundles(state))
     }
-    bags, fillers = bag_layout(state)
+    bags, fillers = layout = bag_layout(state)
     # Item ids ascend as values descend, so the smallest id is the best item.
     bag_item = min((j for bag in bags for j in bag if j not in held_out), default=None)
     filler_item = next((j for j in fillers if j not in held_out), None)
     if bag_item is not None and filler_item is not None:
         cands["open_pair"] = four_thirds * state.bundle_value(agent, (bag_item, filler_item))
-    prof = profile_agent(state, agent)
+    prof = profile_agent(state, agent, layout)
     if prof.low_bags > 0:
         # The low bags hold LOW_BAG * low_bags - deficit between them.
         cands["bag_deficit"] = (

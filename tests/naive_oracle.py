@@ -4,17 +4,18 @@
 k bundles and takes the best minimum bundle sum.  Exponential and proudly
 so: it exists only to cross-check the real oracle on tiny inputs.  The
 other helpers check a witness partition, rescale one agent's row,
-normalize rows and profile an agent's bags in plain ``Fraction``
-arithmetic, and take a copy of a reduction state's contents to compare
-against later.
+normalize rows, profile an agent's bags and fill the bags in plain
+``Fraction`` arithmetic or one agent test at a time, and take a copy of a
+reduction state's contents to compare against later.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from mmsalloc.bags import AgentProfile, bag_layout
-from mmsalloc.errors import InputError
+from mmsalloc.bags import AgentProfile, BagFillResult, bag_layout
+from mmsalloc.errors import InputError, InvariantViolation
 from mmsalloc.model import Instance
+from mmsalloc.reduction import first_qualifying_agent
 
 
 def naive_mms(values, k: int) -> Fraction:
@@ -90,6 +91,39 @@ def profile_agent_reference(state, agent: int) -> AgentProfile:
         filler_value=filler_value,
         needs_rescale=needs,
     )
+
+
+def fill_bags_reference(state, alpha: Fraction) -> BagFillResult:
+    """``bags.fill_bags`` asking ``first_qualifying_agent`` afresh for every
+    agent and bundle, so each test sums the bundle and cross-multiplies."""
+    agents = list(state.agents)
+    bags, fillers = bag_layout(state)
+    assignments, trace = [], []
+    next_filler = 0
+    for rnd, bag in enumerate(bags):
+        bundle = list(bag)
+        added = []
+        while (winner := first_qualifying_agent(state, agents, bundle, alpha)) is None:
+            if next_filler >= len(fillers):
+                raise InvariantViolation(
+                    f"round {rnd}: no filler left and no agent accepts {bundle}"
+                )
+            bundle.append(fillers[next_filler])
+            added.append(fillers[next_filler])
+            next_filler += 1
+        agents.remove(winner)
+        final = tuple(sorted(bundle))
+        assignments.append((winner, final))
+        trace.append(
+            {
+                "round": rnd,
+                "base_bag": list(bag),
+                "added": added,
+                "agent": winner,
+                "value": str(state.bundle_value(winner, final)),
+            }
+        )
+    return BagFillResult(tuple(assignments), tuple(fillers[next_filler:]), tuple(trace))
 
 
 def state_key(state):

@@ -22,6 +22,7 @@ import pytest
 
 from naive_oracle import naive_mms, scale_agent
 
+import mmsalloc.bags as bags_mod
 import mmsalloc.solver as solver_mod
 from mmsalloc.generate import gen_instance, make_spec
 from mmsalloc.jsonio import allocation_to_json, dump_json
@@ -97,6 +98,7 @@ class SweepData:
     envelopes: list = field(default_factory=list)
     reduce_snaps: list = field(default_factory=list)
     phase_clones: list = field(default_factory=list)
+    layout_calls: list = field(default_factory=list)
     oracle_calls_in_solve: int = 0
 
 
@@ -138,9 +140,19 @@ def near_sweep():
         if event == "fixed_phase_done":
             data.phase_clones.append(record["state"])
 
+    bag_layout = bags_mod.bag_layout
+
+    def counted_layout(state):
+        data.layout_calls[-1] += 1
+        return bag_layout(state)
+
     for idx in range(NEAR_COUNT):
         inst = near_threshold_instance(96000 + idx)
-        _alloc, stats = solve_poly34(inst, observer=observer)
+        data.layout_calls.append(0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bags_mod, "bag_layout", counted_layout)
+            mp.setattr(solver_mod, "bag_layout", counted_layout)
+            _alloc, stats = solve_poly34(inst, observer=observer)
         data.instances.append(inst)
         data.stats.append(stats)
     return data
@@ -251,6 +263,18 @@ def test_criterion_4_corollary_bounds(sweep, near_sweep):
         f"{checked} completed fixed phases, {failures} violations; "
         f"update loop fired on {fired}/{NEAR_COUNT} near-threshold instances",
     )
+
+
+def test_near_threshold_solves_build_one_layout_per_scan(near_sweep):
+    # Each loop pass scans once and each rescale bounds once, plus the fill:
+    # at most 2 * iterations + 2 layouts per solve, whatever the host speed.
+    over = [
+        (idx, calls, stats.update_loop_iterations)
+        for idx, (calls, stats) in enumerate(zip(near_sweep.layout_calls, near_sweep.stats))
+        if calls > 2 * stats.update_loop_iterations + 2
+    ]
+    assert len(near_sweep.layout_calls) == NEAR_COUNT
+    assert over == [], f"(instance, bag_layout calls, iterations) over budget: {over}"
 
 
 def test_criterion_5_ordering_lift():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from naive_oracle import profile_agent_reference, state_key
+from naive_oracle import fill_bags_reference, profile_agent_reference, state_key
 
 import mmsalloc.bags as bags_mod
 from mmsalloc.bags import (
@@ -59,7 +59,7 @@ def test_profile_classify_example():
     # 6 big items and 28 single-percent fillers; row already sums to 3.00
     row = [73, 68, 37, 36, 30, 28] + [1] * 28
     st = make_state([row, row, row])
-    p = profile_agent(st, 0)
+    p = profile_agent(st, 0, bag_layout(st))
     assert p.low_bags == 1          # bag {37, 36} = 0.73
     assert p.high_bags == 1         # bag {73, 28} = 1.01
     assert p.deficit == Fraction(1, 50)
@@ -72,7 +72,7 @@ def test_profile_classify_example():
 def test_profile_needs_rescale():
     row = [740, 740, 375, 373, 370, 370, 8, 8, 8, 8]
     st = make_state([row, row, row])
-    p = profile_agent(st, 0)
+    p = profile_agent(st, 0, bag_layout(st))
     assert (p.low_bags, p.high_bags) == (1, 2)
     assert p.deficit == Fraction(1, 500)
     assert p.filler_value == Fraction(4, 125)
@@ -86,9 +86,9 @@ def test_rescale_scan_stops_at_first_hit(monkeypatch):
     st = make_state([row, row, row])
     profiled = []
 
-    def counted(state, agent):
+    def counted(state, agent, layout):
         profiled.append(agent)
-        return profile_agent(state, agent)
+        return profile_agent(state, agent, layout)
 
     monkeypatch.setattr(bags_mod, "profile_agent", counted)
     assert next(agents_needing_rescale(st)) == 0
@@ -96,6 +96,27 @@ def test_rescale_scan_stops_at_first_hit(monkeypatch):
     profiled.clear()
     assert tuple(agents_needing_rescale(st)) == (0, 1, 2)
     assert profiled == [0, 1, 2]
+
+
+def test_rescale_scan_builds_the_layout_once(monkeypatch):
+    # one layout per scan, whether it stops at the first agent or sees all
+    row = [740, 740, 375, 373, 370, 370, 8, 8, 8, 8]
+    st = make_state([row, row, row])
+    layouts = []
+
+    def counted(state):
+        layouts.append(bag_layout(state))
+        return layouts[-1]
+
+    monkeypatch.setattr(bags_mod, "bag_layout", counted)
+    assert next(agents_needing_rescale(st)) == 0
+    assert len(layouts) == 1
+    layouts.clear()
+    assert tuple(agents_needing_rescale(st)) == (0, 1, 2)
+    assert len(layouts) == 1
+    layouts.clear()
+    assert tuple(agents_needing_rescale(make_state([[1, 1, 1, 1]] * 2))) == ()
+    assert len(layouts) == 1
 
 
 def test_fill_bags_single_agent_takes_fillers():
@@ -186,7 +207,8 @@ def test_integer_thresholds_match_fraction_reference(case):
                 value = state.bundle_value(a, bundle)
                 for alpha in alphas:
                     assert state.values_at_least(a, bundle, alpha) == (value >= alpha)
-            assert asdict(profile_agent(state, a)) == asdict(profile_agent_reference(state, a))
+            got = profile_agent(state, a, bag_layout(state))
+            assert asdict(got) == asdict(profile_agent_reference(state, a))
 
     check()
     for kind, pick, factor in steps:
@@ -206,3 +228,41 @@ def test_integer_thresholds_match_fraction_reference(case):
         elif state.items:
             apply_reduction(state, agent, (state.items[0],), "fixed", "top", alpha=Fraction(0))
         check()
+
+
+def fill_outcome(fill, state, alpha):
+    try:
+        return fill(state, alpha)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.integers(n, 4 * n).flatmap(
+                lambda m: st.lists(st.lists(ENTRY, min_size=m, max_size=m), min_size=n, max_size=n)
+            ),
+            st.lists(STEP.filter(lambda step: step[0] != "pin"), max_size=4),
+            st.booleans(),
+        )
+    )
+)
+def test_fill_bags_matches_reference(case):
+    # Scaled and shrunk states, with and without renormalization: the same
+    # winners, leftovers and trace, or the same exhausted-filler failure.
+    rows, steps, renormalize = case
+    state = make_state(rows, renormalize=renormalize)
+    alphas = [Fraction(3, 4), Fraction(3, 4) + Fraction(1, 12 * len(rows)), Fraction(1)]
+    for kind, pick, factor in steps:
+        if not state.agents:
+            break
+        agent = state.agents[pick % len(state.agents)]
+        if kind == "scale":
+            state.scale_row(agent, factor)
+        elif state.items:
+            apply_reduction(state, agent, (state.items[0],), "fixed", "top", alpha=Fraction(0))
+    for alpha in alphas:
+        expected = fill_outcome(fill_bags_reference, state, alpha)
+        assert fill_outcome(fill_bags, state, alpha) == expected

@@ -1,5 +1,6 @@
 """Core model: rationals, instances, ordering, lifting, normalization."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -100,16 +101,29 @@ RATIONAL_ENTRY = st.one_of(
 )
 
 
+# Rows of rational entries next to all-integer rows (d = 1), at every width
+# from the empty row up.
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 9).flatmap(
-    lambda m: st.lists(st.lists(RATIONAL_ENTRY, min_size=m, max_size=m), min_size=1, max_size=4)
+@given(st.integers(0, 9).flatmap(
+    lambda m: st.lists(
+        st.one_of(
+            st.lists(RATIONAL_ENTRY, min_size=m, max_size=m),
+            st.lists(st.integers(0, 12), min_size=m, max_size=m),
+        ),
+        min_size=1,
+        max_size=4,
+    )
 ))
 def test_integer_kernel_matches_fraction_reference_on_rational_rows(rows):
     inst = make_instance(rows)
     view = order_instance(inst)
     for i, row in enumerate(inst.values):
         ints, d = integer_row(row)
+        assert all(type(v) is int for v in ints)
         assert [Fraction(v, d) for v in ints] == list(row)
+        assert d == math.lcm(*(v.denominator for v in row))
+        if d == 1:
+            assert ints == [v.numerator for v in row]
         reference = sorted(range(inst.m), key=lambda j: (-row[j], j))
         assert list(view.ranking[i]) == reference
         assert sorted_row(view, i) == tuple(row[j] for j in reference)

@@ -33,6 +33,13 @@ def state_from_rows(rows, renormalize=True):
     return ReductionState.from_instance(view, ids, scales, renormalize=renormalize)
 
 
+def assert_totals(state):
+    # The running totals are exactly the remaining agents' raw row sums.
+    assert state.totals == {
+        a: sum(state.rows[a][j] for j in state.items) for a in state.agents
+    }
+
+
 def test_candidate_bundle_positions():
     # n=3, m=10: top={pos1}, mid={pos3,4}, tail={pos5,6,7}, top+tail={pos1,7}
     st_ = state_from_rows([[10 - j for j in range(10)]] * 3)
@@ -136,6 +143,7 @@ def test_zero_row_cascade():
     assert (1, "zero", ()) in shapes
     # survivor renormalized to the final agent count
     assert st_.bundle_value(2, st_.items) == 1
+    assert_totals(st_)
 
 
 def test_reduce_fixed_prefers_lower_shape_then_lower_agent():
@@ -180,6 +188,33 @@ def test_undo_tentative_restores_state():
     st_ = undo_tentative(st_)
     assert state_key(st_) == before
     assert st_.log == []
+
+
+def test_undo_restores_totals_after_a_survivor_renormalized():
+    # agent 2 was scaled down, then renormalized by each tentative removal;
+    # the undo brings back her scale and every total from the snapshot
+    a = [700, 500, 400, 340, 250, 250, 150, 150, 100, 80, 50, 20, 10]
+    b = [740, 740, 375, 374, 372, 372, 5, 5, 5, 5, 5, 1, 1]
+    st_ = state_from_rows([a, b, [1] * 13])
+    st_.scale_row(2, Fraction(1, 2))
+    before, totals = state_key(st_), dict(st_.totals)
+    reduce_tentative(st_)
+    assert st_.agents == [2]
+    assert st_.bundle_value(2, st_.items) == 1
+    assert_totals(st_)
+    st_ = undo_tentative(st_)
+    assert (state_key(st_), st_.totals) == (before, totals)
+    assert st_.bundle_value(2, st_.items) == Fraction(3, 2)
+    assert_totals(st_)
+
+
+def test_clone_copies_totals():
+    st_ = state_from_rows([[6, 2, 2, 2], [3, 3, 3, 3], [1, 2, 3, 4]])
+    twin = st_.clone()
+    assert twin.totals == st_.totals and twin.totals is not st_.totals
+    apply_reduction(twin, 0, (0,), "fixed", "top", alpha=Fraction(0))
+    assert_totals(twin)
+    assert_totals(st_)
 
 
 def test_undo_without_snapshot_is_noop():
@@ -242,6 +277,9 @@ def test_fixed_reductions_are_valid_reductions(data):
     restored = [snap["state"] for snap in snapshots if snap["shape"] != "zero"]
     for state in restored + [st_]:
         assert all(state.bundle_value(a, state.items) == len(state.agents) for a in state.agents)
+    # every snapshot is a clone, zero-row cascades included
+    for state in [snap["state"] for snap in snapshots] + [st_, st_.clone()]:
+        assert_totals(state)
     for snap in snapshots:
         before = snap["state"]
         if snap["shape"] == "zero":
@@ -261,3 +299,13 @@ def test_fixed_reductions_are_valid_reductions(data):
             tuple(pos[j] for j in snap["bundle"]),
             DEFAULT_ALPHA,
         )
+    # the tentative phase keeps the totals at each removal, and its undo
+    # restores them with the snapshot
+    fixed_count = len(snapshots)
+    before = state_key(st_), dict(st_.totals)
+    reduce_tentative(st_)
+    for state in [snap["state"] for snap in snapshots[fixed_count:]] + [st_]:
+        assert_totals(state)
+    st_ = undo_tentative(st_)
+    assert (state_key(st_), st_.totals) == before
+    assert_totals(st_)

@@ -7,6 +7,7 @@ events included, so a changed rescale bound or bag value string fails too.
 The cases cover uniform rows with mixed denominators at 60x600, rows where
 the fixed phase removes nearly every agent (n = 40), and near-threshold
 rows where the update loop (undo, rescale, rerun) fires (n = 25 and 50).
+Each solve also counts its bag layouts, a check that no host speed moves.
 """
 
 import hashlib
@@ -15,6 +16,9 @@ from fractions import Fraction
 
 import pytest
 
+import mmsalloc.bags as bags_mod
+import mmsalloc.solver as solver_mod
+from mmsalloc.bags import bag_layout
 from mmsalloc.jsonio import allocation_to_json, dump_json
 from mmsalloc.model import make_instance
 from mmsalloc.solver import solve_poly34
@@ -87,9 +91,21 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_large_envelope_digest(name):
+def test_large_envelope_digest(name, monkeypatch):
     build, iterations, expected = CASES[name]
+    # One bag layout per scan, per rescale bound and per fill: at most
+    # 2 * iterations + 2 per solve (near_50 built 295 when each profile
+    # built its own).
+    layouts = []
+
+    def counted(state):
+        layouts.append(state)
+        return bag_layout(state)
+
+    monkeypatch.setattr(bags_mod, "bag_layout", counted)
+    monkeypatch.setattr(solver_mod, "bag_layout", counted)
     alloc, stats = solve_poly34(build())
     envelope = dump_json(allocation_to_json(alloc, stats))
     assert stats.update_loop_iterations == iterations
     assert hashlib.sha256(envelope.encode()).hexdigest() == expected
+    assert len(layouts) <= 2 * iterations + 2
