@@ -20,8 +20,6 @@ from .model import (
     as_rational,
     lift_allocation,
     make_instance,
-    normalize_average,
-    normalize_mms,
     order_instance,
 )
 from .oracle import MmsResult, exact_mms
@@ -61,8 +59,6 @@ __all__ = [
     "lift_allocation",
     "make_instance",
     "make_spec",
-    "normalize_average",
-    "normalize_mms",
     "order_instance",
     "solve_existence",
     "solve_poly34",

@@ -99,9 +99,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_mms(args) -> int:
-    tokens = [t.strip() for t in args.values.split(",") if t.strip()]
-    if not tokens:
-        raise InputError("--values must list at least one value")
+    tokens = [t.strip() for t in args.values.split(",")]
+    if "" in tokens:
+        raise InputError(f"--values has an empty field: {args.values!r}")
     row = [as_rational(t) for t in tokens]
     res = exact_mms(row, args.k)
     print(res.value)

@@ -1,11 +1,10 @@
-"""Core data model: instances, item ordering, normalization, allocations.
+"""Core data model: instances, item ordering, allocations.
 
 Values are exact rationals (`fractions.Fraction`) at the API.  Floats are
 rejected at the door so that no rounding can creep into the solver path.
 `order_instance` clears each row's denominators once (`integer_row`) and
-keeps only the sorted ints and each row's denominator, and normalization
-gives one scale per agent, so the solvers never build a sorted or
-normalized `Fraction` copy; every value is the same rational.
+keeps only the sorted ints and each row's denominator, so the solvers never
+build a sorted `Fraction` copy; every value is the same rational.
 All operations are pure: the same inputs give bit-identical outputs.
 """
 
@@ -204,32 +203,3 @@ def lift_allocation(inst: Instance, view: OrderedView, alloc: Allocation) -> All
         leftovers=leftovers,
         leftover_agent=alloc.leftover_agent,
     )
-
-
-def normalize_average(view: OrderedView, agents: Sequence[int]) -> dict[int, Fraction]:
-    """One scale per agent of ``agents``, ``len(agents) / sum(int_row)``, so
-    her scaled row sums to the agent count and her maximin share is at most
-    1 (the average bound).  A zero row keeps ``1 / d``, its plain values;
-    any bundle satisfies such an agent.
-    """
-    scales = {}
-    for a in agents:
-        total = sum(view.int_rows[a])
-        scales[a] = Fraction(len(agents), total) if total else Fraction(1, view.denominators[a])
-    return scales
-
-
-def normalize_mms(view: OrderedView, shares: Sequence) -> dict[int, Fraction]:
-    """One scale per agent of the view, ``1 / (d * share)``, making every
-    share 1.  Raises InputError unless there is one strictly positive share
-    per agent.
-    """
-    if len(shares) != len(view.denominators):
-        raise InputError(f"expected {len(view.denominators)} share values, got {len(shares)}")
-    scales = {}
-    for i, (share, d) in enumerate(zip(shares, view.denominators)):
-        mu = as_rational(share)
-        if mu <= 0:
-            raise InputError(f"agent {i} share {mu} is not positive")
-        scales[i] = 1 / (d * mu)
-    return scales

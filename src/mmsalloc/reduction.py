@@ -111,7 +111,7 @@ class ReductionState:
         cls, view: OrderedView, agent_ids: Sequence[int], scales: Mapping, renormalize: bool = True
     ) -> "ReductionState":
         """All of ``view``'s items and ``agent_ids``, each agent on her sorted
-        integer row at her starting scale (see ``model.normalize_*``)."""
+        integer row at her starting scale (see ``solver.normalize_*``)."""
         state = cls(agent_ids, range(len(view.int_rows[0])), view.int_rows, scales, renormalize)
         state._restore_rows(kind="fixed")
         return state
@@ -166,8 +166,6 @@ def candidate_bundles(state: ReductionState) -> tuple[tuple[int, ...], ...]:
     in priority order, truncated to existing positions."""
     n = len(state.agents)
     items = state.items
-    if n == 0:
-        return ((), (), (), ())
 
     def at(*positions: int) -> tuple[int, ...]:
         return tuple(items[p - 1] for p in positions if 1 <= p <= len(items))
@@ -178,14 +176,6 @@ def candidate_bundles(state: ReductionState) -> tuple[tuple[int, ...], ...]:
         at(2 * n - 1, 2 * n, 2 * n + 1),
         at(1, 2 * n + 1),
     )
-
-
-def first_qualifying_agent(
-    state: ReductionState, agents: Iterable[int], bundle: Sequence[int], alpha: Fraction
-) -> int | None:
-    """The first of ``agents`` who values the bundle at or above alpha (exact
-    compare), or None when nobody does; later agents are never evaluated."""
-    return next((a for a in agents if state.values_at_least(a, bundle, alpha)), None)
 
 
 def apply_reduction(
@@ -240,7 +230,7 @@ def _greedy_loop(
         for shape, bundle in zip(shapes, candidate_bundles(state)):
             if not bundle:
                 continue
-            agent = first_qualifying_agent(state, state.agents, bundle, alpha)
+            agent = next((a for a in state.agents if state.values_at_least(a, bundle, alpha)), None)
             if agent is not None:
                 apply_reduction(state, agent, bundle, kind, shape, alpha=alpha)
                 break
@@ -281,12 +271,8 @@ def reduce_tentative(state: ReductionState) -> ReductionState:
 def undo_tentative(state: ReductionState) -> ReductionState:
     """Restore the snapshot taken when the tentative phase began.
 
-    Returns the restored state (callers rebind).  Without a prior tentative
-    phase the state comes back unchanged.
+    Returns the restored state (callers rebind).
     """
-    if state._snapshot is None:
-        return state
     restored = state._snapshot
     restored.observer = state.observer
-    state._snapshot = None
     return restored

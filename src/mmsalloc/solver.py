@@ -44,8 +44,6 @@ from .model import (
     Instance,
     OrderedView,
     lift_allocation,
-    normalize_average,
-    normalize_mms,
     order_instance,
 )
 from .oracle import exact_mms
@@ -238,6 +236,20 @@ def _compose_allocation(
     return lift_allocation(inst, view, ordered_alloc)
 
 
+def normalize_average(view: OrderedView, agents: list[int]) -> dict[int, Fraction]:
+    """One scale per agent of ``agents``, ``len(agents) / sum(int_row)``, so
+    her scaled row sums to the agent count and her maximin share is at most
+    1 (the average bound).  Every row must be nonzero.
+    """
+    return {a: Fraction(len(agents), sum(view.int_rows[a])) for a in agents}
+
+
+def normalize_mms(view: OrderedView, shares: dict[int, Fraction]) -> dict[int, Fraction]:
+    """One scale per agent of ``shares``, ``1 / (d * share)``, making her
+    positive share 1."""
+    return {a: 1 / (view.denominators[a] * mu) for a, mu in shares.items()}
+
+
 def _solve(
     inst: Instance,
     dropped: list[int],
@@ -351,31 +363,22 @@ def solve_existence(
         raise InputError(f"unknown mode {mode!r}")
     alpha = DEFAULT_ALPHA + gamma_constant(inst.n) if mode == MODE_PLUS else DEFAULT_ALPHA
 
-    # Exact shares at the current agent count; agents whose share is zero are
-    # satisfied by the empty bundle and leave, which can only raise the
-    # others' shares, so we recompute until the survivors all have positive
-    # shares.  The first pass (at the full count) is kept for honest ratios.
-    remaining = list(range(inst.n))
-    dropped: list[int] = []
-    first_pass: dict[int, Fraction] = {}
-    while remaining:
-        shares = {i: exact_mms(inst.values[i], len(remaining)).value for i in remaining}
-        if not first_pass:
-            first_pass = shares
-        zeroed = [i for i in remaining if shares[i] == 0]
-        if not zeroed:
-            break
-        dropped.extend(zeroed)
-        remaining = [i for i in remaining if shares[i] > 0]
+    # Exact shares at the full agent count, kept for honest ratios.  Agents
+    # whose share is zero are satisfied by the empty bundle and leave, and
+    # the survivors' shares are recomputed once, at the survivor count:
+    # merging bundles never lowers the minimum, so no share drops to zero.
+    first_pass = [exact_mms(row, inst.n).value for row in inst.values]
+    dropped = [i for i, mu in enumerate(first_pass) if mu == 0]
+    shares = {i: mu for i, mu in enumerate(first_pass) if mu > 0}
+    if dropped:
+        shares = {i: exact_mms(inst.values[i], len(shares)).value for i in shares}
 
     return _solve(
         inst,
         dropped,
-        # Dropped agents get a placeholder share of 1; their rows never enter
-        # the reduction state anyway.
-        lambda view, active: normalize_mms(view, [shares.get(i, 1) for i in range(inst.n)]),
+        lambda view, active: normalize_mms(view, shares),
         reduce=lambda state, emit: (reduce_all_shapes(state, alpha), 0),
         alpha=alpha,
-        shares=[first_pass[i] for i in range(inst.n)],
+        shares=first_pass,
         observer=observer,
     )

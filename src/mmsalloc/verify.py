@@ -115,22 +115,19 @@ def check_valid_reduction(
     return True
 
 
-def corollary_violations(
-    state: ReductionState, margin: Fraction = Fraction(0)
-) -> list[dict]:
+def corollary_violations(state: ReductionState) -> list[dict]:
     """The structural bounds that must hold once no removal shape fires.
 
     Three families per remaining agent, all strict: each agent values each
     of the three fixed removal bundles of ``candidate_bundles`` (the best
-    item, the middle pair, the tail triple) under 3/4 + margin.  Returns
-    one dict per violated bound; empty means all bounds hold.
+    item, the middle pair, the tail triple) under 3/4.  Returns one dict
+    per violated bound; empty means all bounds hold.
     """
-    bound = DEFAULT_ALPHA + margin
     bundles = list(zip(FIXED_SHAPES, candidate_bundles(state)))
     out: list[dict] = []
     for a in state.agents:
         for family, bundle in bundles:
             value = state.bundle_value(a, bundle)
-            if not value < bound:
+            if not value < DEFAULT_ALPHA:
                 out.append({"agent": a, "family": family, "value": str(value)})
     return out

@@ -15,7 +15,6 @@ from itertools import product
 from mmsalloc.bags import AgentProfile, BagFillResult, bag_layout
 from mmsalloc.errors import InputError, InvariantViolation
 from mmsalloc.model import Instance
-from mmsalloc.reduction import first_qualifying_agent
 
 
 def naive_mms(values, k: int) -> Fraction:
@@ -57,19 +56,14 @@ def scale_agent(inst: Instance, agent: int, factor: Fraction) -> Instance:
     return Instance(tuple(rows))
 
 
-def normalize_average_reference(inst: Instance) -> Instance:
-    """``model.normalize_average`` in plain ``Fraction`` arithmetic (each
-    entry times n / row total): the reference its integer rows must match."""
-    n = inst.n
-    rows = []
-    for i in range(n):
-        tot = sum(inst.values[i])
-        if tot == 0:
-            rows.append(inst.values[i])
-        else:
-            c = Fraction(n) / tot
-            rows.append(tuple(v * c for v in inst.values[i]))
-    return Instance(tuple(rows))
+def normalize_average_reference(inst: Instance, agents) -> dict[int, list[Fraction]]:
+    """``solver.normalize_average`` in plain ``Fraction`` arithmetic: each of
+    ``agents``' entries times the agent count over her (nonzero) row total,
+    the reference its integer rows must match."""
+    return {
+        a: [v * Fraction(len(agents)) / sum(inst.values[a]) for v in inst.values[a]]
+        for a in agents
+    }
 
 
 def profile_agent_reference(state, agent: int) -> AgentProfile:
@@ -94,16 +88,23 @@ def profile_agent_reference(state, agent: int) -> AgentProfile:
 
 
 def fill_bags_reference(state, alpha: Fraction) -> BagFillResult:
-    """``bags.fill_bags`` asking ``first_qualifying_agent`` afresh for every
-    agent and bundle, so each test sums the bundle and cross-multiplies."""
+    """``bags.fill_bags`` asking ``values_at_least`` afresh for every agent
+    and bundle, so each test sums the bundle and cross-multiplies."""
     agents = list(state.agents)
     bags, fillers = bag_layout(state)
+
+    def first_accepting(bundle):
+        for a in agents:
+            if state.values_at_least(a, bundle, alpha):
+                return a
+        return None
+
     assignments, trace = [], []
     next_filler = 0
     for rnd, bag in enumerate(bags):
         bundle = list(bag)
         added = []
-        while (winner := first_qualifying_agent(state, agents, bundle, alpha)) is None:
+        while (winner := first_accepting(bundle)) is None:
             if next_filler >= len(fillers):
                 raise InvariantViolation(
                     f"round {rnd}: no filler left and no agent accepts {bundle}"

@@ -16,13 +16,14 @@ from mmsalloc.bags import (
     profile_agent,
 )
 from mmsalloc.errors import InvariantViolation
-from mmsalloc.model import make_instance, normalize_average, order_instance
+from mmsalloc.model import make_instance, order_instance
 from mmsalloc.reduction import ReductionState, apply_reduction, candidate_bundles
+from mmsalloc.solver import normalize_average
 
 
 def make_state(rows, renormalize=True):
     view = order_instance(make_instance(rows))
-    ids = list(range(len(rows)))
+    ids = [i for i, row in enumerate(view.int_rows) if any(row)]
     return ReductionState.from_instance(
         view, ids, normalize_average(view, ids), renormalize=renormalize
     )

@@ -234,6 +234,8 @@ def bad_input_cases(tmp_path):
         ["mms", "--values", "4,abc", "--k", "2"],
         ["mms", "--values", "4,3", "--k", "0"],
         ["mms", "--values", "", "--k", "2"],
+        ["mms", "--values", "4,,3,2,1", "--k", "2"],
+        ["mms", "--values", "4,3,", "--k", "2"],
         ["gen", "--n", "3", "--m", "5", "--dist", "nope:1:2"],
         ["gen", "--n", "0", "--m", "5"],
         ["bench", "--trials", "0"],

@@ -1,4 +1,4 @@
-"""Core model: rationals, instances, ordering, lifting, normalization."""
+"""Core model: rationals, instances, ordering, lifting; the solvers' normalizers."""
 
 import math
 from fractions import Fraction
@@ -16,10 +16,9 @@ from mmsalloc.model import (
     integer_row,
     lift_allocation,
     make_instance,
-    normalize_average,
-    normalize_mms,
     order_instance,
 )
+from mmsalloc.solver import normalize_average, normalize_mms
 
 
 def test_as_rational_accepts_exact_forms():
@@ -130,15 +129,17 @@ def test_integer_kernel_matches_fraction_reference_on_rational_rows(rows):
         assert view.denominators[i] == d
         assert view.int_rows[i] == tuple(ints[j] for j in reference)
     # Each scale times its sorted int row is the reference's normalized row,
-    # entry by entry, whether the reference normalizes sorted or original rows.
-    scales = normalize_average(view, range(inst.n))
+    # entry by entry, whether the reference normalizes sorted or original
+    # rows; zero rows leave before normalization, as in the solver.
+    active = [i for i, row in enumerate(inst.values) if any(row)]
+    scales = normalize_average(view, active)
     sorted_rows = [[row[j] for j in view.ranking[i]] for i, row in enumerate(inst.values)]
-    sorted_ref = normalize_average_reference(make_instance(sorted_rows))
-    original_ref = normalize_average_reference(inst)
-    for i in range(inst.n):
+    sorted_ref = normalize_average_reference(make_instance(sorted_rows), active)
+    original_ref = normalize_average_reference(inst, active)
+    for i in active:
         scaled = [scales[i] * v for v in view.int_rows[i]]
-        assert scaled == list(sorted_ref.values[i])
-        assert scaled == [original_ref.values[i][j] for j in view.ranking[i]]
+        assert scaled == sorted_ref[i]
+        assert scaled == [original_ref[i][j] for j in view.ranking[i]]
 
 
 def _random_partition(rng, n, m):
@@ -203,15 +204,6 @@ def test_normalize_average_row_sums():
     assert sum(scaled_rows(view, normalize_average(view, [1]))[1]) == 1
 
 
-def test_normalize_average_keeps_zero_rows():
-    view = order_instance(make_instance([[0, 0], ["3/2", "1/2"]]))
-    scales = normalize_average(view, [0, 1])
-    assert scales[0] == Fraction(1, view.denominators[0])
-    rows = scaled_rows(view, scales)
-    assert rows[0] == [0, 0]
-    assert sum(rows[1]) == 2
-
-
 @given(
     st.lists(st.integers(0, 40), min_size=2, max_size=8),
     st.integers(1, 9),
@@ -231,14 +223,14 @@ def test_normalize_average_scale_invariant(row, p, q):
 
 def test_normalize_mms_identity_and_division():
     view = order_instance(make_instance([[4, 3, 2, 1]]))
-    assert scaled_rows(view, normalize_mms(view, [Fraction(1)])) == {0: [4, 3, 2, 1]}
-    rows = scaled_rows(view, normalize_mms(view, ["10"]))
+    assert scaled_rows(view, normalize_mms(view, {0: Fraction(1)})) == {0: [4, 3, 2, 1]}
+    rows = scaled_rows(view, normalize_mms(view, {0: Fraction(10)}))
     assert rows[0] == [Fraction(2, 5), Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)]
 
 
 def test_normalize_mms_divides_cleared_rows():
     view = order_instance(make_instance([["1/2", "1/3"], [4, 3]]))
-    scales = normalize_mms(view, [Fraction(1, 3), Fraction(7, 2)])
+    scales = normalize_mms(view, {0: Fraction(1, 3), 1: Fraction(7, 2)})
     assert scales == {0: Fraction(1, 2), 1: Fraction(2, 7)}
     rows = scaled_rows(view, scales)
     assert rows == {0: [Fraction(3, 2), 1], 1: [Fraction(8, 7), Fraction(6, 7)]}
@@ -246,18 +238,6 @@ def test_normalize_mms_divides_cleared_rows():
 
 def test_normalize_mms_two_agents_row_sum():
     view = order_instance(make_instance([[4, 3, 2, 1], [4, 3, 2, 1]]))
-    rows = scaled_rows(view, normalize_mms(view, [Fraction(5), Fraction(5)]))
+    rows = scaled_rows(view, normalize_mms(view, {0: Fraction(5), 1: Fraction(5)}))
     assert sum(rows[0]) == 2
     assert sum(rows[1]) == 2
-
-
-def test_normalize_mms_rejects_zero_share():
-    view = order_instance(make_instance([[1, 1]]))
-    with pytest.raises(InputError, match="agent 0 share 0 is not positive"):
-        normalize_mms(view, [Fraction(0)])
-
-
-def test_normalize_mms_rejects_wrong_share_count():
-    view = order_instance(make_instance([[1, 1]]))
-    with pytest.raises(InputError, match="expected 1 share values, got 2"):
-        normalize_mms(view, [1, 1])

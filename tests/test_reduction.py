@@ -9,28 +9,29 @@ from hypothesis import strategies as st
 from naive_oracle import state_key
 
 from mmsalloc.errors import InvariantViolation
-from mmsalloc.model import make_instance, normalize_average, order_instance
+from mmsalloc.model import make_instance, order_instance
 from mmsalloc.reduction import (
     DEFAULT_ALPHA,
     SHAPES,
     ReductionState,
     apply_reduction,
     candidate_bundles,
-    first_qualifying_agent,
     reduce_all_shapes,
     reduce_fixed,
     reduce_tentative,
     undo_tentative,
 )
+from mmsalloc.solver import normalize_average
 from mmsalloc.verify import check_valid_reduction
 
 
 def state_from_rows(rows, renormalize=True):
     inst = make_instance(rows)
     view = order_instance(inst)
-    scales = normalize_average(view, range(inst.n))
     ids = [i for i in range(inst.n) if sum(inst.values[i]) > 0]
-    return ReductionState.from_instance(view, ids, scales, renormalize=renormalize)
+    return ReductionState.from_instance(
+        view, ids, normalize_average(view, ids), renormalize=renormalize
+    )
 
 
 def assert_totals(state):
@@ -62,17 +63,16 @@ def test_candidate_bundles_truncate():
     assert cands["top_tail"] == (0,)  # position 5 missing
 
 
-def test_first_qualifying_agent_exact_threshold():
+def test_values_at_least_exact_threshold():
     # agent 0 values the top item at exactly 3/4 of her average share
     st_ = state_from_rows([[3, 1, 0, 0], [1, 1, 1, 1]])
     # normalized row 0: (3/2, 1/2, 0, 0); top item = 3/2 = 2 * 3/4
-    assert first_qualifying_agent(st_, st_.agents, (0,), DEFAULT_ALPHA) == 0
-    assert first_qualifying_agent(st_, st_.agents, (0,), Fraction(3, 2)) == 0
+    assert st_.values_at_least(0, (0,), DEFAULT_ALPHA)
+    assert st_.values_at_least(0, (0,), Fraction(3, 2))
     just_above = Fraction(3, 2) + Fraction(1, 10**9)
-    assert first_qualifying_agent(st_, st_.agents, (0,), just_above) is None
-    assert first_qualifying_agent(st_, st_.agents, (1,), DEFAULT_ALPHA) is None
-    # both agents accept {0, 1}; the first in the given order wins
-    assert first_qualifying_agent(st_, [1, 0], (0, 1), DEFAULT_ALPHA) == 1
+    assert not st_.values_at_least(0, (0,), just_above)
+    assert not st_.values_at_least(0, (1,), DEFAULT_ALPHA)
+    assert not st_.values_at_least(1, (1,), DEFAULT_ALPHA)
 
 
 def test_apply_reduction_renormalizes_survivors():
@@ -215,13 +215,6 @@ def test_clone_copies_totals():
     apply_reduction(twin, 0, (0,), "fixed", "top", alpha=Fraction(0))
     assert_totals(twin)
     assert_totals(st_)
-
-
-def test_undo_without_snapshot_is_noop():
-    st_ = state_from_rows([[2, 1], [1, 2]])
-    assert undo_tentative(st_) is st_
-
-
 
 
 def test_reduce_all_shapes_includes_top_tail():

@@ -9,11 +9,7 @@ import mmsalloc.solver as solver_mod
 from mmsalloc.errors import InputError
 from mmsalloc.generate import gen_instance, make_spec
 from mmsalloc.jsonio import allocation_to_json, dump_json
-from mmsalloc.model import (
-    make_instance,
-    normalize_average,
-    order_instance,
-)
+from mmsalloc.model import make_instance, order_instance
 from mmsalloc.oracle import exact_mms
 from mmsalloc.reduction import ReductionState, reduce_tentative
 from mmsalloc.solver import (
@@ -21,6 +17,7 @@ from mmsalloc.solver import (
     MODE_PLUS,
     gamma_constant,
     iteration_cap,
+    normalize_average,
     rescale_candidates,
     solve_existence,
     solve_poly34,
@@ -267,6 +264,30 @@ def test_existence_mixed_zero_share():
     assert partitioned(inst, alloc)
     assert stats.per_agent_ratio[1] is None
     assert stats.per_agent_ratio[0] >= Fraction(3, 4)
+
+
+def test_existence_computes_shares_in_two_passes(monkeypatch):
+    calls = []
+
+    def counted(values, k):
+        calls.append((tuple(values), k))
+        return exact_mms(values, k)
+
+    monkeypatch.setattr(solver_mod, "exact_mms", counted)
+    # no zero share: one pass, every agent at k = n
+    inst = make_instance([[4, 3, 2, 1], [1, 2, 3, 4], [2, 2, 2, 2]])
+    solve_existence(inst, MODE_BASE)
+    assert calls == [(inst.values[i], 3) for i in range(3)]
+    # agent 1 only values item 0, so her 2-way share is zero; the survivor's
+    # share is computed once more, at the survivor count
+    calls.clear()
+    inst = make_instance([[4, 4, 2, 2], [7, 0, 0, 0]])
+    solve_existence(inst, MODE_PLUS)
+    assert calls == [(inst.values[0], 2), (inst.values[1], 2), (inst.values[0], 1)]
+    # every share zero: nobody survives, so there is no second pass
+    calls.clear()
+    solve_existence(make_instance([[5, 3], [2, 2], [9, 1]]), MODE_BASE)
+    assert [k for _, k in calls] == [3, 3, 3]
 
 
 def test_existence_rejects_unknown_mode():
