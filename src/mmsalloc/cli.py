@@ -199,6 +199,8 @@ class _Tally:
 
 def _cmd_bench(args) -> int:
     names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not names or len(set(names)) < len(names):
+        raise InputError(f"--algorithms must name each algorithm once, got {args.algorithms!r}")
     for name in names:
         if name not in ALGORITHMS:
             raise InputError(

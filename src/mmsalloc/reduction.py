@@ -24,12 +24,12 @@ clones; an agent's value is her rational scale times the raw int, so a
 rescale multiplies one number, a threshold test (``values_at_least``) is an
 integer sum and cross-multiplication, and a renormalization sets the scale
 to the agent count over her raw total, summed once when the state is built
-and then only reduced by each removed bundle.  The tentative phase snapshots
-the state first so it can be undone exactly.  The state reports each
-removal, before making it, through one optional hook that receives the event
-name, its JSON-ready fields and the state itself (the solver's rescale
-diagnostics use the same hook); it copies nothing, so whoever listens
-decides what to keep.
+and then only reduced by each removed bundle.  Whoever may roll back the
+tentative phase clones the state before it and hands that snapshot to
+``undo_tentative``.  The state reports each removal, before making it,
+through one optional hook that receives the event name, its JSON-ready
+fields and the state itself; it copies nothing, so whoever listens decides
+what to keep.
 """
 
 from __future__ import annotations
@@ -102,25 +102,26 @@ class ReductionState:
         self.renormalize = renormalize
         self.log: list[AssignmentRecord] = []
         self.observer: Callable[[str, dict, ReductionState], None] | None = None
-        self._snapshot: ReductionState | None = None
 
     # -- construction and bookkeeping -------------------------------------
 
     @classmethod
     def from_instance(
-        cls, view: OrderedView, agent_ids: Sequence[int], scales: Mapping, renormalize: bool = True
+        cls, view: OrderedView, agent_ids: Sequence[int], scales: Mapping, renormalize: bool
     ) -> "ReductionState":
         """All of ``view``'s items and ``agent_ids``, each agent on her sorted
-        integer row at her starting scale (see ``solver.normalize_*``)."""
-        state = cls(agent_ids, range(len(view.int_rows[0])), view.int_rows, scales, renormalize)
-        state._restore_rows(kind="fixed")
-        return state
+        integer row at her starting scale (see ``solver.normalize_*``).  Every
+        listed agent's row must be nonzero: nothing is dropped or rescaled here.
+        """
+        # Every row has the same length; a view with no agents has no items.
+        m = max(map(len, view.int_rows), default=0)
+        return cls(agent_ids, range(m), view.int_rows, scales, renormalize)
 
     def clone(self) -> "ReductionState":
         twin = copy.copy(self)
         twin.agents, twin.items, twin.log = list(self.agents), list(self.items), list(self.log)
         twin.scale, twin.totals = dict(self.scale), dict(self.totals)
-        twin.observer = twin._snapshot = None
+        twin.observer = None
         return twin
 
     def bundle_value(self, agent: int, items: Iterable[int]) -> Fraction:
@@ -144,21 +145,6 @@ class ReductionState:
     def _notify(self, event: str, fields: dict) -> None:
         if self.observer is not None:
             self.observer(event, fields, self)
-
-    def _restore_rows(self, kind: str) -> None:
-        """Remove every agent whose raw total is zero (ascending, each logged
-        as a ``kind`` removal with the empty bundle), then, when the state
-        renormalizes, set every other agent's scale to the agent count over
-        her total, so her remaining items sum to it.  Sums no row."""
-        for a in [a for a in self.agents if self.totals[a] == 0]:
-            record = AssignmentRecord(a, (), kind, ZERO_SHAPE)
-            self._notify("reduce", record.to_json())
-            self.agents.remove(a)
-            del self.totals[a]
-            self.log.append(record)
-        if self.renormalize:
-            for a in self.agents:
-                self.scale[a] = Fraction(len(self.agents), self.totals[a])
 
 
 def candidate_bundles(state: ReductionState) -> tuple[tuple[int, ...], ...]:
@@ -215,7 +201,15 @@ def apply_reduction(
     del state.totals[agent]
     state.log.append(record)
 
-    state._restore_rows(kind=kind)
+    for a in [a for a in state.agents if state.totals[a] == 0]:
+        zero = AssignmentRecord(a, (), kind, ZERO_SHAPE)
+        state._notify("reduce", zero.to_json())
+        state.agents.remove(a)
+        del state.totals[a]
+        state.log.append(zero)
+    if state.renormalize:
+        for a in state.agents:
+            state.scale[a] = Fraction(len(state.agents), state.totals[a])
     return state
 
 
@@ -260,19 +254,20 @@ def reduce_tentative(state: ReductionState) -> ReductionState:
 
     The fourth shape ("top_tail") is only safe when the working upper bounds
     on the maximin shares are tight, which is checked after the fact; so the
-    whole phase is recorded as tentative and the state is snapshotted first
-    for an exact undo.  A "top_tail" removal can unlock further removals of
-    the earlier shapes; those happen inside this phase and are tentative too.
+    whole phase is recorded as tentative, and a caller that may roll it back
+    clones the state first and passes that clone to ``undo_tentative``.  A
+    "top_tail" removal can unlock further removals of the earlier shapes;
+    those happen inside this phase and are tentative too.
     """
-    state._snapshot = state.clone()
     return _greedy_loop(state, DEFAULT_ALPHA, SHAPES, "tentative")
 
 
-def undo_tentative(state: ReductionState) -> ReductionState:
-    """Restore the snapshot taken when the tentative phase began.
-
-    Returns the restored state (callers rebind).
+def undo_tentative(
+    state: ReductionState, snapshot: ReductionState
+) -> tuple[ReductionState, set[int]]:
+    """Roll ``state`` back to ``snapshot``, its clone from before the tentative
+    phase.  Returns ``(snapshot, held)``: the snapshot, now carrying the
+    state's hook (callers rebind), and the items the tentative phase removed.
     """
-    restored = state._snapshot
-    restored.observer = state.observer
-    return restored
+    snapshot.observer = state.observer
+    return snapshot, set(snapshot.items) - set(state.items)

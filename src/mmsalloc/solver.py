@@ -32,7 +32,6 @@ from typing import Callable
 
 from .bags import (
     LOW_BAG,
-    BagFillResult,
     agents_needing_rescale,
     bag_layout,
     fill_bags,
@@ -79,7 +78,7 @@ class SolveStats:
     tentative_assignments: int
     bag_rounds: int
     per_agent_ratio: tuple[Fraction | None, ...] | None
-    events: tuple[dict, ...] = ()
+    events: tuple[dict, ...]
 
     def to_json(self) -> dict:
         ratios = None
@@ -109,7 +108,7 @@ def iteration_cap(n: int) -> int:
 
 
 def rescale_candidates(
-    state: ReductionState, agent: int, held_out: frozenset[int] | set[int] = frozenset()
+    state: ReductionState, agent: int, held_out: set[int]
 ) -> dict[str, Fraction]:
     """Certified upper bounds on ``agent``'s maximin share, by source.
 
@@ -147,7 +146,7 @@ def rescale_candidates(
 def update_upper_bound(
     state: ReductionState,
     agent: int,
-    held_out: frozenset[int] | set[int] = frozenset(),
+    held_out: set[int],
 ) -> Fraction:
     """The tightest certified bound on ``agent``'s maximin share, in (0, 1).
 
@@ -157,10 +156,6 @@ def update_upper_bound(
     rolled-back one, where the agent's profile can read differently.
     """
     cands = rescale_candidates(state, agent, held_out)
-    if "bag_deficit" not in cands:
-        state._notify(
-            "diagnostic", {"note": "rescale target has no low bags", "agent": agent}
-        )
     alpha = max(cands.values())
     if not 0 < alpha < 1:
         raise InvariantViolation(
@@ -175,9 +170,10 @@ def _reduce_with_updates(
 ) -> tuple[ReductionState, int]:
     """The reduction phase of ``solve_poly34``: fixed removals, then
     tentative ones, and while some agent's bag profile proves her working
-    bound too high, undo the tentative phase, rescale the row of the first
-    such agent by the tightest certified bound and run both phases again.  Returns the final
-    state and the number of update-loop iterations.
+    bound too high, go back to the clone taken before the tentative phase,
+    rescale the row of the first such agent by the tightest certified bound
+    and run both phases again.  Returns the final state and the number of
+    update-loop iterations.
 
     The state is fresh, so it holds every active agent and the cap is
     ``iteration_cap`` of the active count.
@@ -188,6 +184,7 @@ def _reduce_with_updates(
     while True:
         reduce_fixed(state)
         emit("fixed_phase_done", state=state)
+        snapshot = state.clone()
         reduce_tentative(state)
         target = next(agents_needing_rescale(state), None)
         if target is None:
@@ -197,8 +194,7 @@ def _reduce_with_updates(
             raise InvariantViolation(
                 f"rescale loop passed {cap} iterations for {count} agents"
             )
-        held = {j for rec in state.log if rec.kind == "tentative" for j in rec.bundle}
-        state = undo_tentative(state)
+        state, held = undo_tentative(state, snapshot)
         emit("undo_tentative")
         bound = update_upper_bound(state, target, held)
         state.scale_row(target, 1 / bound)
@@ -208,19 +204,15 @@ def _reduce_with_updates(
 
 
 def _compose_allocation(
-    inst: Instance, view: OrderedView, state: ReductionState, fills: BagFillResult
+    inst: Instance, view: OrderedView, assigned: list, leftovers: tuple[int, ...]
 ) -> Allocation:
-    """Merge log + bag assignments over sorted positions, fold leftovers into
-    the last assigned bundle, and lift back to original items.
+    """Merge the ``(agent, bundle)`` assignments over sorted positions, fold
+    leftovers into the last assigned bundle, and lift back to original items.
     """
-    assigned = [(rec.agent, rec.bundle) for rec in state.log]
-    assigned.extend(fills.assignments)
-
     bundles: dict[int, tuple[int, ...]] = {i: () for i in range(inst.n)}
     for agent, bundle in assigned:
         bundles[agent] = bundle
 
-    leftovers = fills.leftovers
     leftover_agent = None
     if leftovers:
         if not assigned:
@@ -288,30 +280,26 @@ def _solve(
         emit("reduce", AssignmentRecord(i, (), "fixed", ZERO_SHAPE).to_json())
     active = [i for i in range(inst.n) if i not in dropped]
 
-    iterations = fixed = tentative = bag_rounds = 0
-    if not active:
-        # Nobody needs anything; park the items on the last agent so the
-        # result is still a partition.
-        leftovers = tuple(range(inst.m))
-        bundles = [()] * inst.n
-        if leftovers:
-            bundles[-1] = leftovers
-        alloc = Allocation(tuple(bundles), leftovers, inst.n - 1 if leftovers else None)
-    else:
-        view = order_instance(inst)
-        state = ReductionState.from_instance(
-            view, active, normalize(view, active), renormalize=shares is None
-        )
-        state.observer = emit
+    view = order_instance(inst)
+    state = ReductionState.from_instance(
+        view, active, normalize(view, active), renormalize=shares is None
+    )
+    state.observer = emit
+    iterations = 0
+    if active:
+        # With nobody active there is nothing to reduce, and no phase to report.
         state, iterations = reduce(state, emit)
-        fills = fill_bags(state, alpha)
-        for row in fills.trace:
-            emit("bag_round", row)
-        alloc = _compose_allocation(inst, view, state, fills)
-        bag_rounds = len(fills.assignments)
-        real = [r for r in state.log if r.shape != ZERO_SHAPE]
-        fixed = sum(1 for r in real if r.kind == "fixed")
-        tentative = sum(1 for r in real if r.kind == "tentative")
+    fills = fill_bags(state, alpha)
+    for row in fills.trace:
+        emit("bag_round", row)
+    # The dropped agents come first, so they take the leftovers only when
+    # nobody is active.
+    assigned = [(i, ()) for i in dropped] + [(r.agent, r.bundle) for r in state.log]
+    alloc = _compose_allocation(inst, view, assigned + list(fills.assignments), fills.leftovers)
+    real = [r for r in state.log if r.shape != ZERO_SHAPE]
+    fixed = sum(1 for r in real if r.kind == "fixed")
+    tentative = sum(1 for r in real if r.kind == "tentative")
+    bag_rounds = len(fills.assignments)
 
     ratios = None
     if shares is not None:

@@ -1,5 +1,6 @@
 """Bag layout, agent profiles, and the filling round."""
 
+import random
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -46,6 +47,18 @@ def test_bag_layout_truncates_to_item_count():
     assert layout(3, 4) == (((0,), (1,), (2, 3)), [])
     assert layout(2, 2) == (((0,), (1,)), [])
     assert layout(2, 0) == (((), ()), [])
+
+
+def test_last_bag_is_the_mid_pair():
+    # Bag n-1 pairs positions n and n+1 (counting from 1), the mid_pair
+    # candidate, truncation included, on any ascending item ids.
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for m in range(21):
+            items = sorted(rng.sample(range(40), m))
+            scales = {a: Fraction(1) for a in range(n)}
+            state = ReductionState(range(n), items, [[1] * 40] * n, scales, False)
+            assert bag_layout(state)[0][-1] == candidate_bundles(state)[1], (n, items)
 
 
 def test_bag_layout_holds_item_ids_after_a_removal():

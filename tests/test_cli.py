@@ -240,6 +240,9 @@ def bad_input_cases(tmp_path):
         ["gen", "--n", "0", "--m", "5"],
         ["bench", "--trials", "0"],
         ["bench", "--algorithms", "poly34,quux"],
+        ["bench", "--algorithms", ","],
+        ["bench", "--algorithms", ""],
+        ["bench", "--algorithms", "poly34,poly34"],
         ["bench", "--trials", "1", "--output", str(tmp_path / "no" / "dir" / "x.csv")],
         *oracle_cap_cases(tmp_path),
     ]
@@ -357,7 +360,7 @@ def test_bench_range_sweep_certifies_every_guarantee(capsys):
 def test_bench_exits_1_when_a_guarantee_fails(capsys, monkeypatch):
     def all_to_agent_0(name, inst):
         bundles = (tuple(range(inst.m)),) + ((),) * (inst.n - 1)
-        return Allocation(bundles), SolveStats(0, 0, 0, 0, None)
+        return Allocation(bundles), SolveStats(0, 0, 0, 0, None, ())
 
     monkeypatch.setattr(cli, "run_algorithm", all_to_agent_0)
     assert run_cli(["bench", "--trials", "3", "--seed", "7"]) == 1

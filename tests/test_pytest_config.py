@@ -1,0 +1,39 @@
+"""The repo's pytest settings keep a failing property test an ordinary failure."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+FAILING_PAIR = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.just(0))
+def test_fails(x):
+    assert x == 1
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_failing_given_test_does_not_abort_the_run(tmp_path):
+    # A failing @given test makes hypothesis write a patch through libcst,
+    # whose import raises a DeprecationWarning; under filterwarnings "error"
+    # that used to stop pytest with INTERNALERROR before later tests ran.
+    (tmp_path / "test_pair.py").write_text(FAILING_PAIR)
+    # Plain asserts skip rewriting hypothesis on import, which keeps this fast.
+    argv = ["-q", "-p", "no:cacheprovider", "--assert=plain", "-c", str(PYPROJECT)]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", *argv, "--rootdir", str(tmp_path), "test_pair.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert run.returncode == 1
+    assert "1 failed, 1 passed" in run.stdout

@@ -183,9 +183,10 @@ def test_undo_tentative_restores_state():
     b = [740, 740, 375, 374, 372, 372, 5, 5, 5, 5, 5, 1, 1]
     st_ = state_from_rows([a, b, [1] * 13])
     before = state_key(st_)
+    snapshot = st_.clone()
     reduce_tentative(st_)
     assert state_key(st_) != before
-    st_ = undo_tentative(st_)
+    st_, _ = undo_tentative(st_, snapshot)
     assert state_key(st_) == before
     assert st_.log == []
 
@@ -198,11 +199,12 @@ def test_undo_restores_totals_after_a_survivor_renormalized():
     st_ = state_from_rows([a, b, [1] * 13])
     st_.scale_row(2, Fraction(1, 2))
     before, totals = state_key(st_), dict(st_.totals)
+    snapshot = st_.clone()
     reduce_tentative(st_)
     assert st_.agents == [2]
     assert st_.bundle_value(2, st_.items) == 1
     assert_totals(st_)
-    st_ = undo_tentative(st_)
+    st_, _ = undo_tentative(st_, snapshot)
     assert (state_key(st_), st_.totals) == (before, totals)
     assert st_.bundle_value(2, st_.items) == Fraction(3, 2)
     assert_totals(st_)
@@ -262,7 +264,7 @@ def test_fixed_reductions_are_valid_reductions(data):
 
     view = order_instance(inst)
     ids = list(range(n))
-    st_ = ReductionState.from_instance(view, ids, normalize_average(view, ids))
+    st_ = ReductionState.from_instance(view, ids, normalize_average(view, ids), True)
     st_.observer = observer
     reduce_fixed(st_)
     # every removal starts from restored rows, and so does the final state:
@@ -296,9 +298,10 @@ def test_fixed_reductions_are_valid_reductions(data):
     # restores them with the snapshot
     fixed_count = len(snapshots)
     before = state_key(st_), dict(st_.totals)
+    snapshot = st_.clone()
     reduce_tentative(st_)
     for state in [snap["state"] for snap in snapshots[fixed_count:]] + [st_]:
         assert_totals(state)
-    st_ = undo_tentative(st_)
+    st_, _ = undo_tentative(st_, snapshot)
     assert (state_key(st_), st_.totals) == before
     assert_totals(st_)

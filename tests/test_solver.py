@@ -6,12 +6,12 @@ import pytest
 from naive_oracle import scale_agent, state_key
 
 import mmsalloc.solver as solver_mod
-from mmsalloc.errors import InputError
+from mmsalloc.errors import InputError, InvariantViolation
 from mmsalloc.generate import gen_instance, make_spec
 from mmsalloc.jsonio import allocation_to_json, dump_json
-from mmsalloc.model import make_instance, order_instance
+from mmsalloc.model import Allocation, Instance, make_instance, order_instance
 from mmsalloc.oracle import exact_mms
-from mmsalloc.reduction import ReductionState, reduce_tentative
+from mmsalloc.reduction import ReductionState, reduce_tentative, undo_tentative
 from mmsalloc.solver import (
     MODE_BASE,
     MODE_PLUS,
@@ -37,7 +37,7 @@ FIVE_CANDIDATE_ROW = [7400, 7000, 3700, 3600, 3550, 3500] + [96] * 13 + [2]
 def average_state(inst):
     view = order_instance(inst)
     ids = list(range(inst.n))
-    return ReductionState.from_instance(view, ids, normalize_average(view, ids))
+    return ReductionState.from_instance(view, ids, normalize_average(view, ids), True)
 
 
 def partitioned(inst, alloc):
@@ -60,7 +60,7 @@ def test_iteration_cap():
 def test_rescale_candidates_all_five():
     inst = make_instance([FIVE_CANDIDATE_ROW] * 3)
     st = average_state(inst)
-    cands = rescale_candidates(st, 0)
+    cands = rescale_candidates(st, 0, set())
     assert cands == {
         "top": Fraction(74, 75),
         "mid_pair": Fraction(73, 75),
@@ -68,7 +68,7 @@ def test_rescale_candidates_all_five():
         "open_pair": Fraction(1874, 1875),
         "bag_deficit": Fraction(171, 175),
     }
-    assert update_upper_bound(st, 0) == Fraction(1874, 1875)
+    assert update_upper_bound(st, 0, set()) == Fraction(1874, 1875)
 
 
 def test_rescale_candidates_respect_held_out():
@@ -172,6 +172,17 @@ def test_no_items():
     inst = make_instance([[], [], []])
     alloc, _ = solve_poly34(inst)
     assert alloc.bundles == ((), (), ())
+
+
+def test_zero_agent_instance():
+    # No agents means no items; the base solvers return the empty allocation,
+    # while the plus margin 1/(12 n) has no n to divide by.
+    inst = Instance(())
+    for alloc, stats in (solve_poly34(inst), solve_existence(inst, MODE_BASE)):
+        assert alloc == Allocation((), (), None)
+        assert stats.events == ()
+    with pytest.raises(InputError):
+        solve_existence(inst, MODE_PLUS)
 
 
 def test_fewer_items_than_agents():
@@ -304,14 +315,10 @@ def test_held_out_collection_after_real_tentative_phase():
     inst = make_instance([a, b, [1] * 13])
     st = average_state(inst)
     before = state_key(st)
+    snapshot = st.clone()
     reduce_tentative(st)
-    held = set()
-    for rec in st.log:
-        held.update(rec.bundle)
+    st, held = undo_tentative(st, snapshot)
     assert held == {0, 3, 4, 5, 6}
-    from mmsalloc.reduction import undo_tentative
-
-    st = undo_tentative(st)
     assert state_key(st) == before
 
 
@@ -325,3 +332,12 @@ def test_update_upper_bound_with_held_out_items():
     assert rescale_candidates(st, 0, {0, 6})["open_pair"] == Fraction(
         4, 3
     ) * Fraction(7000 + 96, 10000)
+
+
+def test_update_upper_bound_raises_without_low_bags():
+    # Bag n-1 is the mid_pair bundle, so with no low bag that candidate is
+    # 4/3 of a value >= 3/4: the bound reaches 1 and cannot be a rescale.
+    st = average_state(make_instance([[1, 1, 1, 1]] * 2))
+    assert "bag_deficit" not in rescale_candidates(st, 0, set())
+    with pytest.raises(InvariantViolation, match=r"outside \(0, 1\)"):
+        update_upper_bound(st, 0, set())

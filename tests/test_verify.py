@@ -18,7 +18,7 @@ from mmsalloc.verify import (
 def make_state(rows):
     view = order_instance(make_instance(rows))
     ids = list(range(len(rows)))
-    return ReductionState.from_instance(view, ids, normalize_average(view, ids))
+    return ReductionState.from_instance(view, ids, normalize_average(view, ids), True)
 
 
 def test_check_alpha_mms_single_agent():
