@@ -2,9 +2,9 @@
 
 Values are exact rationals (`fractions.Fraction`) at the API.  Floats are
 rejected at the door so that no rounding can creep into the solver path.
-`order_instance` clears each row's denominators once (`integer_row`) and
-keeps only the sorted ints and each row's denominator, so the solvers never
-build a sorted `Fraction` copy; every value is the same rational.
+An `Instance` keeps each row cleared to ints over one denominator, once
+(`cleared_row`): all-int input builds no `Fraction`, and `Instance.values`
+derives the rationals only for readers that ask.
 All operations are pure: the same inputs give bit-identical outputs.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -46,30 +47,62 @@ def as_rational(x) -> Fraction:
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")
 
 
+def cleared_row(values: Sequence, label: str) -> tuple[tuple[int, ...], int]:
+    """The row, validated, over one common denominator: ``(ints, d)``.
+
+    ``as_rational(values[j]) == Fraction(ints[j], d)`` and ``d`` is the lcm
+    of the denominators, so the ints sort, sum and compare as the row does.
+    Plain ints skip ``as_rational``; a negative entry is reported as
+    ``label[j]``.
+
+    >>> cleared_row([Fraction(1, 2), "2/3", 0], "values")
+    ((3, 4, 0), 6)
+    >>> cleared_row([5, 0, 7], "values"), cleared_row([], "values")
+    (((5, 0, 7), 1), ((), 1))
+    """
+    row = []
+    for j, x in enumerate(values):
+        v = x if type(x) is int else as_rational(x)
+        if v < 0:
+            raise InputError(f"{label}[{j}] = {v} is negative")
+        row.append(v)
+    if (d := math.lcm(*(v.denominator for v in row))) == 1:
+        return tuple(v.numerator for v in row), d
+    return tuple(v.numerator * (d // v.denominator) for v in row), d
+
+
 @dataclass(frozen=True)
 class Instance:
     """An additive fair-division instance: one valuation row per agent.
 
-    values[i][j] is agent i's value for item j, always a nonnegative Fraction.
+    Agent i values item j at ``Fraction(rows[i][j], denominators[i])``, her
+    row as ``cleared_row`` returns it.  ``values`` derives the ``Fraction``
+    matrix on first read, for callers that want the rationals.
     """
 
-    values: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    denominators: tuple[int, ...]
+
+    @cached_property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(
+            tuple(Fraction(v, d) for v in row) for row, d in zip(self.rows, self.denominators)
+        )
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return len(self.rows)
 
     @property
     def m(self) -> int:
-        return len(self.values[0]) if self.values else 0
+        return len(self.rows[0]) if self.rows else 0
 
     def bundle_value(self, agent: int, items: Iterable[int]) -> Fraction:
-        row = self.values[agent]
-        return sum((row[j] for j in items), Fraction(0))
+        return Fraction(sum(map(self.rows[agent].__getitem__, items)), self.denominators[agent])
 
 
 def make_instance(values: Sequence[Sequence]) -> Instance:
-    """Validate and freeze a valuation matrix.
+    """Validate and clear a valuation matrix.
 
     Entries may be ints, Fractions, or exact strings.  Raises InputError
     when the matrix is empty, ragged, or has a negative entry.
@@ -78,72 +111,42 @@ def make_instance(values: Sequence[Sequence]) -> Instance:
     if not rows:
         raise InputError("an instance needs at least one agent")
     width = len(rows[0])
-    out = []
+    cleared = []
     for i, row in enumerate(rows):
         if len(row) != width:
             raise InputError(f"row {i} has {len(row)} entries, expected {width}")
-        conv = []
-        for j, entry in enumerate(row):
-            v = as_rational(entry)
-            if v.numerator < 0:
-                raise InputError(f"values[{i}][{j}] = {v} is negative")
-            conv.append(v)
-        out.append(tuple(conv))
-    return Instance(tuple(out))
-
-
-def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The row over one common denominator: ``row[j] == Fraction(ints[j], d)``.
-
-    ``d`` is the least common multiple of the row's denominators, each read
-    once, so the ints sort, sum and compare exactly as the row does.
-
-    >>> integer_row([Fraction(1, 2), Fraction(2, 3), Fraction(0)])
-    ([3, 4, 0], 6)
-    >>> integer_row([Fraction(5), Fraction(0), Fraction(7)]), integer_row([])
-    (([5, 0, 7], 1), ([], 1))
-    """
-    dens = [v.denominator for v in row]
-    if (d := math.lcm(*dens)) == 1:
-        return [v.numerator for v in row], d
-    return [v.numerator * (d // e) for v, e in zip(row, dens)], d
+        cleared.append(cleared_row(row, f"values[{i}]"))
+    return Instance(tuple(r for r, _ in cleared), tuple(d for _, d in cleared))
 
 
 @dataclass(frozen=True)
 class OrderedView:
-    """Every agent's row sorted descending, as cleared ints, plus the way back.
+    """Every agent's cleared row sorted descending, plus the way back.
 
     ranking[i][p] is the original item id sitting at sorted position p for
-    agent i.  Ties sort by ascending original item id, so the view is
-    deterministic.  Agent i values sorted position p at
-    ``Fraction(int_rows[i][p], denominators[i])``.
+    agent i, and ``int_rows[i][p]`` is ``inst.rows[i][ranking[i][p]]``.
+    Ties sort by ascending original item id, so the view is deterministic.
     """
 
     ranking: tuple[tuple[int, ...], ...]
     int_rows: tuple[tuple[int, ...], ...]
-    denominators: tuple[int, ...]
 
 
 def order_instance(inst: Instance) -> OrderedView:
     """Sort every agent's row into descending order of value.
 
     >>> view = order_instance(make_instance([[1, "3/2", 2]]))
-    >>> view.int_rows[0], view.denominators[0]
-    ((4, 3, 2), 2)
-    >>> view.ranking[0]
-    (2, 1, 0)
+    >>> view.int_rows[0], view.ranking[0]
+    ((4, 3, 2), (2, 1, 0))
     """
     rankings = []
     int_rows = []
-    denominators = []
-    for row in inst.values:
-        ints, d = integer_row(row)
+    for row in inst.rows:
         # A stable sort stays stable under reverse=True: ties keep ascending ids.
-        order = sorted(range(len(row)), key=ints.__getitem__, reverse=True)
+        order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
         rankings.append(tuple(order))
-        int_rows.append(tuple(map(ints.__getitem__, order)))
-        denominators.append(d)
-    return OrderedView(tuple(rankings), tuple(int_rows), tuple(denominators))
+        int_rows.append(tuple(map(row.__getitem__, order)))
+    return OrderedView(tuple(rankings), tuple(int_rows))
 
 
 @dataclass(frozen=True)

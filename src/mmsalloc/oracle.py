@@ -13,9 +13,10 @@ optimal branch:
   an item is only ever tried in one of them (this also means an item opens
   at most one empty bundle).
 
-Everything runs on integers internally.  Rational inputs are scaled by their
-common denominator first; the maximin share scales along with the values, so
-the result is exact.
+Everything runs on integers internally: ``model.cleared_row`` validates the
+row and scales it by its common denominator, and the maximin share scales
+along with the values, so the result is exact.  An int row such as
+``Instance.rows[i]`` is searched as it is, and its share is in its units.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .model import as_rational, integer_row
+from .model import cleared_row
 
 ORACLE_CAP = 24
 
@@ -70,16 +71,10 @@ def exact_mms(values: Sequence, k: int) -> MmsResult:
     """
     if k < 1:
         raise InputError(f"bundle count must be >= 1, got {k}")
-    vals = [as_rational(v) for v in values]
-    for j, v in enumerate(vals):
-        if v < 0:
-            raise InputError(f"values[{j}] = {v} is negative")
-    m = len(vals)
+    weights, denom = cleared_row(values, "values")
+    m = len(weights)
     if m > ORACLE_CAP:
         raise InputError(f"{m} items exceeds the search cap of {ORACLE_CAP}")
-
-    # Work on integers: scale by the common denominator, divide back at the end.
-    weights, denom = integer_row(vals)
 
     order = sorted(range(m), key=lambda j: (-weights[j], j))
     positive = [j for j in order if weights[j] > 0]

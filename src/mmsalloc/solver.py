@@ -1,12 +1,14 @@
 """End-to-end allocation pipelines.
 
-Both solvers run one pipeline, ``_solve``: sort items (clearing each row's
-denominators once), give each active agent a starting scale, greedily
-remove satisfied (agent, bundle) pairs, deal the rest into end-to-end bags,
-fill the bags, then translate everything back to the original items.  The
-front ends supply only what differs: which agents leave with the empty
-bundle, the normalizer, the reduction phase, the fill threshold, and the
-shares behind ``per_agent_ratio``.  Threshold tests run on integer rows.
+Both solvers run one pipeline, ``_solve``: sort items, give each active
+agent a starting scale, greedily remove satisfied (agent, bundle) pairs,
+deal the rest into end-to-end bags, fill the bags, then translate
+everything back to the original items.  The front ends supply only what
+differs: which agents leave with the empty bundle, the normalizer, the
+reduction phase, the fill threshold, and the shares behind
+``per_agent_ratio``.  All of it reads the cleared int rows
+``Instance.rows``: a share computed on one is in its units, so the row's
+denominator cancels.
 
 ``solve_poly34`` guarantees every agent 3/4 of her maximin share without
 ever computing a maximin share: each row is scaled to the average bound
@@ -236,10 +238,10 @@ def normalize_average(view: OrderedView, agents: list[int]) -> dict[int, Fractio
     return {a: Fraction(len(agents), sum(view.int_rows[a])) for a in agents}
 
 
-def normalize_mms(view: OrderedView, shares: dict[int, Fraction]) -> dict[int, Fraction]:
-    """One scale per agent of ``shares``, ``1 / (d * share)``, making her
-    positive share 1."""
-    return {a: 1 / (view.denominators[a] * mu) for a, mu in shares.items()}
+def normalize_mms(shares: dict[int, int]) -> dict[int, Fraction]:
+    """One scale per agent of ``shares``, ``1 / share``, making her positive
+    share 1.  Each share is in the units of her cleared row."""
+    return {a: Fraction(1, mu) for a, mu in shares.items()}
 
 
 def _solve(
@@ -248,7 +250,7 @@ def _solve(
     normalize: Callable[[OrderedView, list[int]], dict[int, Fraction]],
     reduce: Callable[[ReductionState, Callable[..., None]], tuple[ReductionState, int]],
     alpha: Fraction,
-    shares: list[Fraction] | None,
+    shares: list[int] | None,
     observer: Callable[[str, dict], None] | None,
 ) -> tuple[Allocation, SolveStats]:
     """The pipeline both solvers share.
@@ -258,8 +260,8 @@ def _solve(
     gives each active agent a starting scale, they go through the ``reduce``
     phase (which returns the final state and its update-loop iteration
     count), and whoever is left gets a bag filled to ``alpha``.
-    ``shares`` are the exact shares at the full agent count when the caller
-    has them; they give ``per_agent_ratio``.  Without them, rows are
+    ``shares`` are the exact shares of the rows at the full agent count when
+    the caller has them; they give ``per_agent_ratio``.  Without them, rows are
     renormalized to the agent count after every removal.
     """
     records: list[dict] = []
@@ -304,7 +306,7 @@ def _solve(
     ratios = None
     if shares is not None:
         ratios = tuple(
-            None if mu == 0 else inst.bundle_value(i, alloc.bundles[i]) / mu
+            None if mu == 0 else Fraction(sum(inst.rows[i][j] for j in alloc.bundles[i]), mu)
             for i, mu in enumerate(shares)
         )
     stats = SolveStats(iterations, fixed, tentative, bag_rounds, ratios, tuple(records))
@@ -322,7 +324,7 @@ def solve_poly34(
     and each completed fixed phase with a clone from after it.  Returns
     (allocation, stats).
     """
-    silent = [i for i in range(inst.n) if not any(inst.values[i])]
+    silent = [i for i in range(inst.n) if not any(inst.rows[i])]
     return _solve(
         inst,
         silent,
@@ -351,20 +353,20 @@ def solve_existence(
         raise InputError(f"unknown mode {mode!r}")
     alpha = DEFAULT_ALPHA + gamma_constant(inst.n) if mode == MODE_PLUS else DEFAULT_ALPHA
 
-    # Exact shares at the full agent count, kept for honest ratios.  Agents
-    # whose share is zero are satisfied by the empty bundle and leave, and
+    # Exact shares of the int rows at the full agent count, kept for honest
+    # ratios.  Agents whose share is zero are satisfied by the empty bundle and leave, and
     # the survivors' shares are recomputed once, at the survivor count:
     # merging bundles never lowers the minimum, so no share drops to zero.
-    first_pass = [exact_mms(row, inst.n).value for row in inst.values]
+    first_pass = [int(exact_mms(row, inst.n).value) for row in inst.rows]
     dropped = [i for i, mu in enumerate(first_pass) if mu == 0]
     shares = {i: mu for i, mu in enumerate(first_pass) if mu > 0}
     if dropped:
-        shares = {i: exact_mms(inst.values[i], len(shares)).value for i in shares}
+        shares = {i: int(exact_mms(inst.rows[i], len(shares)).value) for i in shares}
 
     return _solve(
         inst,
         dropped,
-        lambda view, active: normalize_mms(view, shares),
+        lambda view, active: normalize_mms(shares),
         reduce=lambda state, emit: (reduce_all_shapes(state, alpha), 0),
         alpha=alpha,
         shares=first_pass,

@@ -1,10 +1,11 @@
 """Independent certification of allocations and solver state structure.
 
 Everything here recomputes maximin shares from the original instance with
-the exact oracle; nothing trusts solver bookkeeping.  These checks are
-meant for desk-scale instances (the oracle is exponential in the item
-count and stops at ``ORACLE_CAP``); beyond it the guarantee rests on the
-algorithm, not on us.
+the exact oracle; nothing trusts solver bookkeeping.  Shares and bundle
+sums are taken on the int rows ``Instance.rows``, and a row's denominator
+enters only the values a report prints.  These checks are meant for
+desk-scale instances (the oracle is exponential in the item count and stops
+at ``ORACLE_CAP``); beyond it the guarantee rests on the algorithm, not on us.
 """
 
 from __future__ import annotations
@@ -70,14 +71,12 @@ def check_alpha_mms(inst: Instance, alloc: Allocation, alpha: Fraction) -> Verif
         raise InputError("bundles do not partition the item set")
 
     rows = []
-    for i in range(inst.n):
-        mms = exact_mms(inst.values[i], inst.n).value
-        got = inst.bundle_value(i, alloc.bundles[i])
-        if mms == 0:
-            rows.append(VerifyAgent(i, got, mms, None, True))
-        else:
-            ratio = got / mms
-            rows.append(VerifyAgent(i, got, mms, ratio, ratio >= alpha))
+    for i, (row, d) in enumerate(zip(inst.rows, inst.denominators)):
+        mms = int(exact_mms(row, inst.n).value)
+        got = sum(row[j] for j in alloc.bundles[i])
+        ratio = None if mms == 0 else Fraction(got, mms)
+        ok = ratio is None or ratio >= alpha
+        rows.append(VerifyAgent(i, Fraction(got, d), Fraction(mms, d), ratio, ok))
     return VerifyReport(alpha, tuple(rows), all(r.ok for r in rows))
 
 
@@ -99,17 +98,16 @@ def check_valid_reduction(
     if not taken <= set(range(inst.m)):
         raise InputError("bundle mentions items outside the instance")
 
-    mu_agent = exact_mms(inst.values[agent], inst.n).value
-    if inst.bundle_value(agent, bundle) < alpha * mu_agent:
+    row = inst.rows[agent]
+    if sum(row[j] for j in bundle) < alpha * exact_mms(row, inst.n).value:
         return False
 
     rest = [j for j in range(inst.m) if j not in taken]
-    for i in range(inst.n):
+    for i, row in enumerate(inst.rows):
         if i == agent:
             continue
-        before = exact_mms(inst.values[i], inst.n).value
-        row_after = [inst.values[i][j] for j in rest]
-        after = exact_mms(row_after, inst.n - 1).value
+        before = exact_mms(row, inst.n).value
+        after = exact_mms([row[j] for j in rest], inst.n - 1).value
         if after < before:
             return False
     return True

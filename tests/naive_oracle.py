@@ -14,7 +14,7 @@ from itertools import product
 
 from mmsalloc.bags import AgentProfile, BagFillResult, bag_layout
 from mmsalloc.errors import InputError, InvariantViolation
-from mmsalloc.model import Instance
+from mmsalloc.model import Instance, make_instance
 
 
 def naive_mms(values, k: int) -> Fraction:
@@ -51,9 +51,9 @@ def partition_min(values, partition) -> Fraction:
 
 def scale_agent(inst: Instance, agent: int, factor: Fraction) -> Instance:
     """Multiply one agent's whole row by a positive rational."""
-    rows = list(inst.values)
-    rows[agent] = tuple(v * factor for v in rows[agent])
-    return Instance(tuple(rows))
+    rows = [list(row) for row in inst.values]
+    rows[agent] = [v * factor for v in rows[agent]]
+    return make_instance(rows)
 
 
 def normalize_average_reference(inst: Instance, agents) -> dict[int, list[Fraction]]:

@@ -168,8 +168,9 @@ def test_fill_bags_empty_state():
 
 def test_fill_bags_exhausted_without_renormalization():
     # tiny values, no renormalization: the threshold is out of reach
-    view = order_instance(make_instance([[Fraction(1, 100)] * 2] * 2))
-    scales = {a: Fraction(1, d) for a, d in enumerate(view.denominators)}
+    inst = make_instance([[Fraction(1, 100)] * 2] * 2)
+    view = order_instance(inst)
+    scales = {a: Fraction(1, d) for a, d in enumerate(inst.denominators)}
     st = ReductionState.from_instance(view, [0, 1], scales, renormalize=False)
     with pytest.raises(InvariantViolation, match="no filler left and no agent accepts"):
         fill_bags(st, Fraction(3, 4))

@@ -13,12 +13,20 @@ from mmsalloc.errors import InputError
 from mmsalloc.model import (
     Allocation,
     as_rational,
-    integer_row,
     lift_allocation,
     make_instance,
     order_instance,
 )
-from mmsalloc.solver import normalize_average, normalize_mms
+from mmsalloc.oracle import exact_mms
+from mmsalloc.solver import (
+    MODE_BASE,
+    MODE_PLUS,
+    normalize_average,
+    normalize_mms,
+    solve_existence,
+    solve_poly34,
+)
+from mmsalloc.verify import check_alpha_mms, check_valid_reduction
 
 
 def test_as_rational_accepts_exact_forms():
@@ -43,6 +51,46 @@ def test_make_instance_validation():
         make_instance([[1, -2]])
 
 
+# Each bad entry sits at values[1] of a row, or values[0][1] of a matrix.
+BAD_ENTRIES = [
+    (True, "boolean is not a valuation: True"),
+    (False, "boolean is not a valuation: False"),
+    (0.5, "float 0.5 rejected: pass an int or an exact string like '1/3' or '0.25'"),
+    ("abc", "cannot parse rational from 'abc'"),
+    (-2, "values[0][1] = -2 is negative"),
+    ("-1/2", "values[0][1] = -1/2 is negative"),
+]
+
+
+@pytest.mark.parametrize("bad,message", BAD_ENTRIES)
+@pytest.mark.parametrize("entry_point", ["make_instance", "exact_mms"])
+def test_validation_through_the_int_shortcut(entry_point, bad, message):
+    # bool is an int subclass, so the int shortcut must not wave it through;
+    # both entry points clear rows with cleared_row and keep their messages.
+    if entry_point == "exact_mms":
+        message = message.replace("values[0][1]", "values[1]")
+        call = lambda: exact_mms([1, bad, 2], 2)
+    else:
+        call = lambda: make_instance([[1, bad], [3, 4]])
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_all_int_instance_builds_no_fraction_matrix():
+    # Solving and certifying an all-int instance reads only the cleared rows:
+    # the Fraction matrix behind Instance.values is never built.
+    inst = make_instance([[4, 3, 2, 1, 1], [1, 2, 3, 4, 0], [2, 2, 2, 2, 2]])
+    alloc, _ = solve_poly34(inst)
+    for mode in (MODE_BASE, MODE_PLUS):
+        solve_existence(inst, mode)
+    check_alpha_mms(inst, alloc, Fraction(3, 4))
+    check_valid_reduction(inst, 0, (0,), Fraction(3, 4))
+    assert "values" not in vars(inst)
+    assert all(type(v) is int for row in inst.rows for v in row)
+    assert inst.denominators == (1, 1, 1)
+
+
 def test_make_instance_accepts_zero_items():
     inst = make_instance([[], []])
     assert inst.n == 2 and inst.m == 0
@@ -54,15 +102,15 @@ def test_instance_accessors():
     assert inst.bundle_value(0, (0, 3)) == 5
 
 
-def sorted_row(view, i):
+def sorted_row(inst, view, i):
     """Agent i's values in sorted order, read from the view's cleared ints."""
-    return tuple(Fraction(v, view.denominators[i]) for v in view.int_rows[i])
+    return tuple(Fraction(v, inst.denominators[i]) for v in view.int_rows[i])
 
 
 def test_order_instance_sorts_and_ranks():
     inst = make_instance([[5, 1, 3, 3]])
     view = order_instance(inst)
-    assert sorted_row(view, 0) == (5, 3, 3, 1)
+    assert sorted_row(inst, view, 0) == (5, 3, 3, 1)
     # ties broken by ascending original id
     assert view.ranking[0] == (0, 2, 3, 1)
 
@@ -70,8 +118,8 @@ def test_order_instance_sorts_and_ranks():
 def test_order_instance_rows_independent():
     inst = make_instance([[1, 2, 3], [3, 2, 1]])
     view = order_instance(inst)
-    assert sorted_row(view, 0) == (3, 2, 1)
-    assert sorted_row(view, 1) == (3, 2, 1)
+    assert sorted_row(inst, view, 0) == (3, 2, 1)
+    assert sorted_row(inst, view, 1) == (3, 2, 1)
     assert view.ranking[0] == (2, 1, 0)
     assert view.ranking[1] == (0, 1, 2)
 
@@ -87,7 +135,7 @@ def test_order_preserves_value_multisets(rows):
     inst = make_instance(rows)
     view = order_instance(inst)
     for i in range(inst.n):
-        assert sorted(sorted_row(view, i)) == sorted(inst.values[i])
+        assert sorted(sorted_row(inst, view, i)) == sorted(inst.values[i])
         # ranking is a permutation of the items
         assert sorted(view.ranking[i]) == list(range(inst.m))
 
@@ -116,17 +164,18 @@ RATIONAL_ENTRY = st.one_of(
 def test_integer_kernel_matches_fraction_reference_on_rational_rows(rows):
     inst = make_instance(rows)
     view = order_instance(inst)
-    for i, row in enumerate(inst.values):
-        ints, d = integer_row(row)
+    for i, raw in enumerate(rows):
+        row = [as_rational(x) for x in raw]
+        ints, d = inst.rows[i], inst.denominators[i]
         assert all(type(v) is int for v in ints)
-        assert [Fraction(v, d) for v in ints] == list(row)
+        assert [Fraction(v, d) for v in ints] == row
+        assert inst.values[i] == tuple(row)
         assert d == math.lcm(*(v.denominator for v in row))
         if d == 1:
-            assert ints == [v.numerator for v in row]
+            assert list(ints) == [v.numerator for v in row]
         reference = sorted(range(inst.m), key=lambda j: (-row[j], j))
         assert list(view.ranking[i]) == reference
-        assert sorted_row(view, i) == tuple(row[j] for j in reference)
-        assert view.denominators[i] == d
+        assert sorted_row(inst, view, i) == tuple(row[j] for j in reference)
         assert view.int_rows[i] == tuple(ints[j] for j in reference)
     # Each scale times its sorted int row is the reference's normalized row,
     # entry by entry, whether the reference normalizes sorted or original
@@ -223,21 +272,25 @@ def test_normalize_average_scale_invariant(row, p, q):
 
 def test_normalize_mms_identity_and_division():
     view = order_instance(make_instance([[4, 3, 2, 1]]))
-    assert scaled_rows(view, normalize_mms(view, {0: Fraction(1)})) == {0: [4, 3, 2, 1]}
-    rows = scaled_rows(view, normalize_mms(view, {0: Fraction(10)}))
+    assert scaled_rows(view, normalize_mms({0: 1})) == {0: [4, 3, 2, 1]}
+    rows = scaled_rows(view, normalize_mms({0: 10}))
     assert rows[0] == [Fraction(2, 5), Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)]
 
 
 def test_normalize_mms_divides_cleared_rows():
-    view = order_instance(make_instance([["1/2", "1/3"], [4, 3]]))
-    scales = normalize_mms(view, {0: Fraction(1, 3), 1: Fraction(7, 2)})
-    assert scales == {0: Fraction(1, 2), 1: Fraction(2, 7)}
+    # Shares come in the cleared row's units: agent 0's row clears to (3, 2)
+    # over 6, so her share 1/3 arrives as 2.
+    inst = make_instance([["1/2", "1/3"], [4, 3]])
+    view = order_instance(inst)
+    assert inst.rows[0] == (3, 2) and inst.denominators[0] == 6
+    scales = normalize_mms({0: 2, 1: 7})
+    assert scales == {0: Fraction(1, 2), 1: Fraction(1, 7)}
     rows = scaled_rows(view, scales)
-    assert rows == {0: [Fraction(3, 2), 1], 1: [Fraction(8, 7), Fraction(6, 7)]}
+    assert rows == {0: [Fraction(3, 2), 1], 1: [Fraction(4, 7), Fraction(3, 7)]}
 
 
 def test_normalize_mms_two_agents_row_sum():
     view = order_instance(make_instance([[4, 3, 2, 1], [4, 3, 2, 1]]))
-    rows = scaled_rows(view, normalize_mms(view, {0: Fraction(5), 1: Fraction(5)}))
+    rows = scaled_rows(view, normalize_mms({0: 5, 1: 5}))
     assert sum(rows[0]) == 2
     assert sum(rows[1]) == 2

@@ -109,13 +109,13 @@ def test_state_rows_are_integers_and_values_exact():
     )
     # Starting at 1/d, the state values the sorted rows as they are.
     view = order_instance(inst)
-    scales = {a: Fraction(1, d) for a, d in enumerate(view.denominators)}
+    scales = {a: Fraction(1, d) for a, d in enumerate(inst.denominators)}
     state = ReductionState.from_instance(view, [0, 1, 2], scales, renormalize=False)
     assert all(type(v) is int for a in state.agents for v in state.rows[a])
     bundles = [(), (0,), (1, 2), (0, 3, 5), tuple(range(inst.m))]
     for a in state.agents:
         for bundle in bundles:
-            sorted_value = sum(Fraction(view.int_rows[a][p], view.denominators[a]) for p in bundle)
+            sorted_value = sum(Fraction(view.int_rows[a][p], inst.denominators[a]) for p in bundle)
             assert state.bundle_value(a, bundle) == sorted_value
             unsorted = [view.ranking[a][p] for p in bundle]
             assert state.bundle_value(a, bundle) == inst.bundle_value(a, unsorted)

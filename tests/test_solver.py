@@ -177,7 +177,7 @@ def test_no_items():
 def test_zero_agent_instance():
     # No agents means no items; the base solvers return the empty allocation,
     # while the plus margin 1/(12 n) has no n to divide by.
-    inst = Instance(())
+    inst = Instance((), ())
     for alloc, stats in (solve_poly34(inst), solve_existence(inst, MODE_BASE)):
         assert alloc == Allocation((), (), None)
         assert stats.events == ()
@@ -281,20 +281,23 @@ def test_existence_computes_shares_in_two_passes(monkeypatch):
     calls = []
 
     def counted(values, k):
-        calls.append((tuple(values), k))
+        calls.append((values, k))
         return exact_mms(values, k)
 
     monkeypatch.setattr(solver_mod, "exact_mms", counted)
     # no zero share: one pass, every agent at k = n
     inst = make_instance([[4, 3, 2, 1], [1, 2, 3, 4], [2, 2, 2, 2]])
     solve_existence(inst, MODE_BASE)
-    assert calls == [(inst.values[i], 3) for i in range(3)]
+    # The oracle gets the instance's own cleared int rows, not a copy.
+    assert all(values is inst.rows[i] for i, (values, _) in enumerate(calls))
+    assert calls == [(inst.rows[i], 3) for i in range(3)]
     # agent 1 only values item 0, so her 2-way share is zero; the survivor's
     # share is computed once more, at the survivor count
     calls.clear()
     inst = make_instance([[4, 4, 2, 2], [7, 0, 0, 0]])
     solve_existence(inst, MODE_PLUS)
-    assert calls == [(inst.values[0], 2), (inst.values[1], 2), (inst.values[0], 1)]
+    assert calls == [(inst.rows[0], 2), (inst.rows[1], 2), (inst.rows[0], 1)]
+    assert all(values is inst.rows[i] for (values, _), i in zip(calls, (0, 1, 0)))
     # every share zero: nobody survives, so there is no second pass
     calls.clear()
     solve_existence(make_instance([[5, 3], [2, 2], [9, 1]]), MODE_BASE)
