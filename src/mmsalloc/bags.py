@@ -12,8 +12,9 @@ total), how many sit above the high-water mark, and how much filler value
 exists to make up the difference.  A profile where high bags outnumber low
 bags while fillers cannot cover the shortfall is the signal that the
 agent's working share bound is overestimated and must be rescaled before
-bag filling can be trusted.  A scan never changes the state, so it builds
-the layout once for all its profiles; a fill cross-multiplies each alpha once.
+bag filling can be trusted.  The state's memo keeps each layout and, per
+agent, the verdict with the scale it was judged at, so a scan after a rescale
+with no removal profiles only that agent.  A fill keeps running raw sums.
 """
 
 from __future__ import annotations
@@ -39,12 +40,16 @@ def bag_layout(state: ReductionState) -> Layout:
     With n agents, bag k (counting from 0) pairs ``items[k]`` with
     ``items[2n-1-k]``, dropping an index past the last item, so a bag may
     hold one item or none.  The fillers are the items from index 2n on, in
-    descending value order.
+    descending value order.  Built once per layout version: do not mutate.
     """
-    n = len(state.agents)
-    items = state.items
-    bags = tuple(tuple(items[p] for p in (k, 2 * n - 1 - k) if p < len(items)) for k in range(n))
-    return bags, items[2 * n:]
+    entry = state.memo.get(state.version)
+    if entry is None:
+        n = len(state.agents)
+        items = state.items
+        bags = tuple(tuple(items[p] for p in (k, 2 * n - 1 - k) if p < len(items)) for k in range(n))
+        # The layout, and agent -> (scale, needs_rescale) for the scans of it.
+        entry = state.memo[state.version] = ((bags, items[2 * n:]), {})
+    return entry[0]
 
 
 @dataclass(frozen=True)
@@ -87,11 +92,18 @@ def profile_agent(state: ReductionState, agent: int, layout: Layout) -> AgentPro
 def agents_needing_rescale(state: ReductionState) -> Iterator[int]:
     """Agents whose profile demands an upper-bound rescale, ascending by id.
 
-    Lazy: each agent is profiled, on the one layout, only when the iterator
+    Lazy: each agent is judged, on the one layout, only when the iterator
     reaches her, so ``next(agents_needing_rescale(state), None)`` stops there.
     """
     layout = bag_layout(state)
-    return (a for a in state.agents if profile_agent(state, a, layout).needs_rescale)
+    verdicts = state.memo[state.version][1]
+    for a in state.agents:
+        # Every rescale stores a new Fraction, so identity is exact and hashes none.
+        seen = verdicts.get(a)
+        if seen is None or seen[0] is not state.scale[a]:
+            seen = verdicts[a] = (state.scale[a], profile_agent(state, a, layout).needs_rescale)
+        if seen[1]:
+            yield a
 
 
 @dataclass(frozen=True)
@@ -113,26 +125,31 @@ def fill_bags(state: ReductionState, alpha: Fraction) -> BagFillResult:
     expected outcome.
     """
     bags, fillers = bag_layout(state)
-    # Scales stay put while the bags fill: agent a accepts raw r when r*lhs >= rhs.
-    terms = {a: (state.rows[a].__getitem__, *state.cross_terms(a, alpha)) for a in state.agents}
-
-    def first_accepting(bundle: list[int]) -> int | None:
-        hits = (a for a, (get, lhs, rhs) in terms.items() if sum(map(get, bundle)) * lhs >= rhs)
-        return next(hits, None)
+    # Scales stay put while the bags fill: agent a accepts raw r when r >= least[a].
+    least = {a: state.threshold(a, alpha) for a in state.agents}
 
     assignments, trace = [], []
     next_filler = 0
     for rnd, bag in enumerate(bags):
-        bundle, first_filler = list(bag), next_filler
-        while (winner := first_accepting(bundle)) is None:
+        first_filler, raw = next_filler, {}
+        # Each waiting agent's raw sum of the bundle: summed as the bare bag is
+        # offered round, then, once nobody takes it, topped up per filler.
+        takers = (
+            a for a, t in least.items()
+            if raw.setdefault(a, sum(map(state.rows[a].__getitem__, bag))) >= t
+        )
+        while (winner := next(takers, None)) is None:
             if next_filler >= len(fillers):
                 raise InvariantViolation(
-                    f"round {rnd}: no filler left and no agent accepts {bundle}"
+                    f"round {rnd}: no filler left and no agent accepts "
+                    f"{[*bag, *fillers[first_filler:next_filler]]}"
                 )
-            bundle.append(fillers[next_filler])
+            j = fillers[next_filler]
+            raw = {a: r + state.rows[a][j] for a, r in raw.items()}
+            takers = (a for a, t in least.items() if raw[a] >= t)
             next_filler += 1
-        del terms[winner]
-        final = tuple(sorted(bundle))
+        del least[winner]
+        final = tuple(sorted((*bag, *fillers[first_filler:next_filler])))
         assignments.append((winner, final))
         trace.append(
             {

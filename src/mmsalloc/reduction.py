@@ -35,6 +35,7 @@ what to keep.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -84,6 +85,10 @@ class ReductionState:
     before each removal, with the JSON-ready fields of the event and this
     state as it still is; it must not touch the state.  Clones start
     without one.
+
+    Clones share ``memo``, scratch keyed on the layout ``version``, and the
+    counter from which each removal draws a fresh version, so a rerun from
+    a snapshot never meets a version of the run it replaced.
     """
 
     def __init__(
@@ -102,6 +107,10 @@ class ReductionState:
         self.renormalize = renormalize
         self.log: list[AssignmentRecord] = []
         self.observer: Callable[[str, dict, ReductionState], None] | None = None
+        self.memo: dict = {}
+        self._least: dict[int, tuple[Fraction, Fraction, int]] = {}
+        self._versions = itertools.count(1)
+        self.version = 0
 
     # -- construction and bookkeeping -------------------------------------
 
@@ -132,10 +141,17 @@ class ReductionState:
         s = self.scale[agent]
         return s.numerator * alpha.denominator, alpha.numerator * s.denominator
 
+    def threshold(self, agent: int, alpha: Fraction) -> int:
+        """The least raw sum worth ``alpha`` to ``agent``, kept per scale and alpha object."""
+        s, hit = self.scale[agent], self._least.get(agent)
+        if hit is None or hit[0] is not s or hit[1] is not alpha:
+            lhs, rhs = self.cross_terms(agent, alpha)
+            hit = self._least[agent] = (s, alpha, -(-rhs // lhs))
+        return hit[2]
+
     def values_at_least(self, agent: int, items: Iterable[int], alpha: Fraction) -> bool:
         """``bundle_value(agent, items) >= alpha``, compared on ints."""
-        lhs, rhs = self.cross_terms(agent, alpha)
-        return sum(map(self.rows[agent].__getitem__, items)) * lhs >= rhs
+        return sum(map(self.rows[agent].__getitem__, items)) >= self.threshold(agent, alpha)
 
     def scale_row(self, agent: int, factor: Fraction) -> None:
         if factor <= 0:
@@ -200,6 +216,7 @@ def apply_reduction(
         state.totals[a] -= sum(map(state.rows[a].__getitem__, bundle))
     del state.totals[agent]
     state.log.append(record)
+    state.version = next(state._versions)
 
     for a in [a for a in state.agents if state.totals[a] == 0]:
         zero = AssignmentRecord(a, (), kind, ZERO_SHAPE)
@@ -220,15 +237,21 @@ def _greedy_loop(
     kind: str,
 ) -> ReductionState:
     # ``shapes`` is a prefix of SHAPES, so zipping keeps the priority order.
+    # A pass with no taker records every agent's scale, so the next pass over
+    # these bundles at this alpha tests only the agents rescaled since then.
+    scale = state.scale
     while state.agents:
+        seen = state.memo.setdefault((state.version, shapes), {})
+        fresh = [a for a in state.agents if seen.get(a) != (scale[a], alpha)] if seen else state.agents
         for shape, bundle in zip(shapes, candidate_bundles(state)):
             if not bundle:
                 continue
-            agent = next((a for a in state.agents if state.values_at_least(a, bundle, alpha)), None)
+            agent = next((a for a in fresh if state.values_at_least(a, bundle, alpha)), None)
             if agent is not None:
                 apply_reduction(state, agent, bundle, kind, shape, alpha=alpha)
                 break
         else:
+            seen.update((a, (scale[a], alpha)) for a in fresh)
             break
     return state
 

@@ -95,7 +95,9 @@ def test_profile_needs_rescale():
 
 
 def test_rescale_scan_stops_at_first_hit(monkeypatch):
-    # every agent needs a rescale; asking for the first profiles only her
+    # every agent needs a rescale; asking for the first profiles only her, a
+    # repeat scan of the unchanged state profiles nobody, and a rescale
+    # brings back only the rescaled agent
     row = [740, 740, 375, 373, 370, 370, 8, 8, 8, 8]
     st = make_state([row, row, row])
     profiled = []
@@ -107,13 +109,23 @@ def test_rescale_scan_stops_at_first_hit(monkeypatch):
     monkeypatch.setattr(bags_mod, "profile_agent", counted)
     assert next(agents_needing_rescale(st)) == 0
     assert profiled == [0]
-    profiled.clear()
     assert tuple(agents_needing_rescale(st)) == (0, 1, 2)
     assert profiled == [0, 1, 2]
+    profiled.clear()
+    assert tuple(agents_needing_rescale(st)) == (0, 1, 2)
+    assert profiled == []
+    st.scale_row(1, Fraction(1, 2))
+    assert tuple(agents_needing_rescale(st)) == (0, 2)
+    assert profiled == [1]
+    # a clone shares what its parent's scans saw
+    profiled.clear()
+    assert tuple(agents_needing_rescale(st.clone())) == (0, 2)
+    assert profiled == []
 
 
 def test_rescale_scan_builds_the_layout_once(monkeypatch):
-    # one layout per scan, whether it stops at the first agent or sees all
+    # one layout per set of agents and items: scans, rescales and clones
+    # reuse it, and only a removal brings a new one
     row = [740, 740, 375, 373, 370, 370, 8, 8, 8, 8]
     st = make_state([row, row, row])
     layouts = []
@@ -124,13 +136,16 @@ def test_rescale_scan_builds_the_layout_once(monkeypatch):
 
     monkeypatch.setattr(bags_mod, "bag_layout", counted)
     assert next(agents_needing_rescale(st)) == 0
-    assert len(layouts) == 1
-    layouts.clear()
     assert tuple(agents_needing_rescale(st)) == (0, 1, 2)
-    assert len(layouts) == 1
-    layouts.clear()
+    st.scale_row(0, Fraction(1, 2))
+    assert tuple(agents_needing_rescale(st.clone())) == (1, 2)
+    assert len(layouts) == 3
+    assert all(layout is layouts[0] for layout in layouts)
+    apply_reduction(st, 2, (0,), "fixed", "top", alpha=Fraction(0))
+    assert tuple(agents_needing_rescale(st)) == ()
+    assert layouts[-1] is not layouts[0]
+    assert layouts[-1] == (((1, 4), (2, 3)), [5, 6, 7, 8, 9])
     assert tuple(agents_needing_rescale(make_state([[1, 1, 1, 1]] * 2))) == ()
-    assert len(layouts) == 1
 
 
 def test_fill_bags_single_agent_takes_fillers():
