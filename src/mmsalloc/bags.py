@@ -14,7 +14,9 @@ bags while fillers cannot cover the shortfall is the signal that the
 agent's working share bound is overestimated and must be rescaled before
 bag filling can be trusted.  The state's memo keeps each layout and, per
 agent, the verdict with the scale it was judged at, so a scan after a rescale
-with no removal profiles only that agent.  A fill keeps running raw sums.
+with no removal profiles only that agent.  A clone profiles afresh; the
+update loop's snapshot gets the live memo back from ``undo_tentative``.  A
+fill keeps running raw sums against each agent's least accepted raw sum.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ def fill_bags(state: ReductionState, alpha: Fraction) -> BagFillResult:
     """
     bags, fillers = bag_layout(state)
     # Scales stay put while the bags fill: agent a accepts raw r when r >= least[a].
-    least = {a: state.threshold(a, alpha) for a in state.agents}
+    terms = {a: state.cross_terms(a, alpha) for a in state.agents}
+    least = {a: -(-rhs // lhs) for a, (lhs, rhs) in terms.items()}
 
     assignments, trace = [], []
     next_filler = 0

@@ -59,12 +59,15 @@ def instance_from_json(obj) -> Instance:
     return inst
 
 
-def load_instance(text: str) -> Instance:
+def _parse_json(text: str):
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise InputError(f"bad JSON: {exc}") from exc
-    return instance_from_json(obj)
+
+
+def load_instance(text: str) -> Instance:
+    return instance_from_json(_parse_json(text))
 
 
 def allocation_to_json(alloc: Allocation, stats: SolveStats) -> dict:
@@ -92,11 +95,7 @@ def allocation_from_json(obj) -> Allocation:
 
 
 def load_allocation(text: str) -> Allocation:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON: {exc}") from exc
-    return allocation_from_json(obj)
+    return allocation_from_json(_parse_json(text))
 
 
 def parse_alpha(text: str) -> Fraction:

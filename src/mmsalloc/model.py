@@ -11,6 +11,7 @@ All operations are pure: the same inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -40,7 +41,11 @@ def as_rational(x) -> Fraction:
             f"float {x!r} rejected: pass an int or an exact string like '1/3' or '0.25'"
         )
     if isinstance(x, str):
+        # Fraction expands 1eX to 10**X: refuse past the limit int() puts on digits.
+        limit, (_, e, exp) = sys.get_int_max_str_digits(), x.lower().partition("e")
         try:
+            if e and 0 < limit <= abs(int(exp)):
+                raise InputError(f"exponent of {x!r} exceeds the limit of {limit} digits")
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational from {x!r}") from exc

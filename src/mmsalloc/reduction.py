@@ -26,10 +26,10 @@ integer sum and cross-multiplication, and a renormalization sets the scale
 to the agent count over her raw total, summed once when the state is built
 and then only reduced by each removed bundle.  Whoever may roll back the
 tentative phase clones the state before it and hands that snapshot to
-``undo_tentative``.  The state reports each removal, before making it,
-through one optional hook that receives the event name, its JSON-ready
-fields and the state itself; it copies nothing, so whoever listens decides
-what to keep.
+``undo_tentative``, which gives it the state's memo.  The state reports each
+removal, before making it, through one optional hook that receives the event
+name, its JSON-ready fields and the state itself; it copies nothing, so
+whoever listens decides what to keep.
 """
 
 from __future__ import annotations
@@ -86,9 +86,10 @@ class ReductionState:
     state as it still is; it must not touch the state.  Clones start
     without one.
 
-    Clones share ``memo``, scratch keyed on the layout ``version``, and the
-    counter from which each removal draws a fresh version, so a rerun from
-    a snapshot never meets a version of the run it replaced.
+    ``memo`` is scratch keyed on the layout ``version``.  A clone starts
+    with an empty one, so nothing done to a copy reaches its parent; it
+    shares only the counter from which each removal draws a fresh version,
+    so a rerun from a snapshot never meets a version of the run it replaced.
     """
 
     def __init__(
@@ -108,7 +109,6 @@ class ReductionState:
         self.log: list[AssignmentRecord] = []
         self.observer: Callable[[str, dict, ReductionState], None] | None = None
         self.memo: dict = {}
-        self._least: dict[int, tuple[Fraction, Fraction, int]] = {}
         self._versions = itertools.count(1)
         self.version = 0
 
@@ -129,7 +129,7 @@ class ReductionState:
     def clone(self) -> "ReductionState":
         twin = copy.copy(self)
         twin.agents, twin.items, twin.log = list(self.agents), list(self.items), list(self.log)
-        twin.scale, twin.totals = dict(self.scale), dict(self.totals)
+        twin.scale, twin.totals, twin.memo = dict(self.scale), dict(self.totals), {}
         twin.observer = None
         return twin
 
@@ -141,17 +141,10 @@ class ReductionState:
         s = self.scale[agent]
         return s.numerator * alpha.denominator, alpha.numerator * s.denominator
 
-    def threshold(self, agent: int, alpha: Fraction) -> int:
-        """The least raw sum worth ``alpha`` to ``agent``, kept per scale and alpha object."""
-        s, hit = self.scale[agent], self._least.get(agent)
-        if hit is None or hit[0] is not s or hit[1] is not alpha:
-            lhs, rhs = self.cross_terms(agent, alpha)
-            hit = self._least[agent] = (s, alpha, -(-rhs // lhs))
-        return hit[2]
-
     def values_at_least(self, agent: int, items: Iterable[int], alpha: Fraction) -> bool:
         """``bundle_value(agent, items) >= alpha``, compared on ints."""
-        return sum(map(self.rows[agent].__getitem__, items)) >= self.threshold(agent, alpha)
+        lhs, rhs = self.cross_terms(agent, alpha)
+        return sum(map(self.rows[agent].__getitem__, items)) * lhs >= rhs
 
     def scale_row(self, agent: int, factor: Fraction) -> None:
         if factor <= 0:
@@ -289,8 +282,8 @@ def undo_tentative(
     state: ReductionState, snapshot: ReductionState
 ) -> tuple[ReductionState, set[int]]:
     """Roll ``state`` back to ``snapshot``, its clone from before the tentative
-    phase.  Returns ``(snapshot, held)``: the snapshot, now carrying the
-    state's hook (callers rebind), and the items the tentative phase removed.
+    phase.  Returns ``(snapshot, held)``: the snapshot, now with the state's
+    hook and memo (callers rebind), and the items the tentative phase removed.
     """
-    snapshot.observer = state.observer
+    snapshot.observer, snapshot.memo = state.observer, state.memo
     return snapshot, set(snapshot.items) - set(state.items)

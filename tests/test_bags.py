@@ -18,7 +18,12 @@ from mmsalloc.bags import (
 )
 from mmsalloc.errors import InvariantViolation
 from mmsalloc.model import make_instance, order_instance
-from mmsalloc.reduction import ReductionState, apply_reduction, candidate_bundles
+from mmsalloc.reduction import (
+    ReductionState,
+    apply_reduction,
+    candidate_bundles,
+    undo_tentative,
+)
 from mmsalloc.solver import normalize_average
 
 
@@ -117,15 +122,22 @@ def test_rescale_scan_stops_at_first_hit(monkeypatch):
     st.scale_row(1, Fraction(1, 2))
     assert tuple(agents_needing_rescale(st)) == (0, 2)
     assert profiled == [1]
-    # a clone shares what its parent's scans saw
+    # a clone profiles afresh, while the snapshot that undo_tentative hands
+    # back takes the live state's memo and reuses what its scans saw
     profiled.clear()
     assert tuple(agents_needing_rescale(st.clone())) == (0, 2)
+    assert profiled == [0, 1, 2]
+    profiled.clear()
+    snapshot, held = undo_tentative(st, st.clone())
+    assert held == set()
+    assert tuple(agents_needing_rescale(snapshot)) == (0, 2)
     assert profiled == []
 
 
 def test_rescale_scan_builds_the_layout_once(monkeypatch):
-    # one layout per set of agents and items: scans, rescales and clones
-    # reuse it, and only a removal brings a new one
+    # one layout per set of agents and items: scans and rescales reuse it, a
+    # clone builds its own equal one, the snapshot that undo_tentative hands
+    # back reuses the live state's, and only a removal brings a new one
     row = [740, 740, 375, 373, 370, 370, 8, 8, 8, 8]
     st = make_state([row, row, row])
     layouts = []
@@ -139,8 +151,11 @@ def test_rescale_scan_builds_the_layout_once(monkeypatch):
     assert tuple(agents_needing_rescale(st)) == (0, 1, 2)
     st.scale_row(0, Fraction(1, 2))
     assert tuple(agents_needing_rescale(st.clone())) == (1, 2)
-    assert len(layouts) == 3
-    assert all(layout is layouts[0] for layout in layouts)
+    snapshot, _ = undo_tentative(st, st.clone())
+    assert tuple(agents_needing_rescale(snapshot)) == (1, 2)
+    assert len(layouts) == 4
+    assert layouts[1] is layouts[0] and layouts[3] is layouts[0]
+    assert layouts[2] is not layouts[0] and layouts[2] == layouts[0]
     apply_reduction(st, 2, (0,), "fixed", "top", alpha=Fraction(0))
     assert tuple(agents_needing_rescale(st)) == ()
     assert layouts[-1] is not layouts[0]

@@ -259,6 +259,41 @@ def test_input_errors_exit_2(tmp_path, capsys):
             assert "cap of 24" in err, argv
 
 
+# Numbers past the 4300-digit limit on int(): as a bare JSON integer, as a
+# digit string, and as an exponent that Fraction would expand to 10**5000.
+NINES = "9" * 5000
+MALFORMED = {"json_int": NINES, "digit_string": NINES, "exponent": "1e5000"}
+JSON_ENTRIES = ("solve --input", "verify --input", "verify --allocation")
+
+
+@pytest.mark.parametrize(
+    "entry, kind",
+    [(e, k) for e in JSON_ENTRIES for k in MALFORMED]
+    + [(e, k) for e in ("verify --alpha", "mms --values") for k in ("digit_string", "exponent")],
+)
+def test_malformed_numbers_exit_2(tmp_path, capsys, entry, kind):
+    text = MALFORMED[kind]
+    number = text if kind == "json_int" else f'"{text}"'
+    good, halves = tmp_path / "good.json", tmp_path / "halves.json"
+    good.write_text(dump_json({"valuations": [[1, 2], [2, 1]]}))
+    halves.write_text(dump_json({"bundles": [[0], [1]]}))
+    bad_inst, bad_alloc = tmp_path / "bad_inst.json", tmp_path / "bad_alloc.json"
+    bad_inst.write_text(f'{{"valuations": [[{number}, 1], [1, 1]]}}')
+    bad_alloc.write_text(f'{{"bundles": [[{number}], [1]]}}')
+    argv = {
+        "solve --input": ["solve", "--input", str(bad_inst)],
+        "verify --input": ["verify", "--input", str(bad_inst), "--allocation", str(halves)],
+        "verify --allocation": ["verify", "--input", str(good), "--allocation", str(bad_alloc)],
+        "verify --alpha": ["verify", "--input", str(good), "--allocation", str(halves), "--alpha", text],
+        "mms --values": ["mms", "--values", f"4,{text}", "--k", "2"],
+    }[entry]
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_solve_verify_refuses_over_cap_before_solving(tmp_path, capsys, monkeypatch):
     inst = gen_file(tmp_path, "wide.json", 60, 600, 1)
     solved = []

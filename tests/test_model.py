@@ -34,9 +34,13 @@ def test_as_rational_accepts_exact_forms():
     assert as_rational("3/7") == Fraction(3, 7)
     assert as_rational("0.25") == Fraction(1, 4)
     assert as_rational(Fraction(2, 3)) == Fraction(2, 3)
+    assert as_rational("2.5e3") == 2500
+    assert as_rational("1e-3") == Fraction(1, 1000)
 
 
-@pytest.mark.parametrize("bad", [0.25, 1.0, True, False, None, [1], "1/0", "abc"])
+@pytest.mark.parametrize(
+    "bad", [0.25, 1.0, True, False, None, [1], "1/0", "abc", "1e5000", "1e-5000"]
+)
 def test_as_rational_rejects_inexact_and_junk(bad):
     with pytest.raises(InputError):
         as_rational(bad)

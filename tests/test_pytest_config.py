@@ -1,4 +1,5 @@
-"""The repo's pytest settings keep a failing property test an ordinary failure."""
+"""The repo's pytest settings: a failing property test stays an ordinary
+failure, and the suite runs the benchmark's self-tests."""
 
 import subprocess
 import sys
@@ -37,3 +38,9 @@ def test_failing_given_test_does_not_abort_the_run(tmp_path):
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert run.returncode == 1
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_suite_collects_the_benchmark_self_tests(pytestconfig):
+    # perfbench/ holds the benchmark's self-tests; a plain run collects them.
+    assert pytestconfig.getini("testpaths") == ["tests", "src", "perfbench"]
+    assert (PYPROJECT.parent / "perfbench" / "test_perfbench.py").is_file()

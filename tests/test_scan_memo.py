@@ -1,20 +1,22 @@
 """The update loop's memo: what it keeps never changes what the solver does.
 
-A solve's states share one memo of bag layouts, profile verdicts and
-removal passes that found no taker, keyed on the layout version and each
-agent's scale.  Here every scan the update loop makes is checked against a
-fresh profile of every agent, on the loop family's pinned seeds and on
-near-threshold rows at n = 20 and 40; the profile count of the benchmark's
-near instance is pinned; a rerun from a snapshot, or another solve, must
-not see verdicts it did not make; and a removal pass after a rescale tests
-only the rescaled agent.
+A state keeps a memo of bag layouts, profile verdicts and removal passes
+that found no taker, keyed on the layout version and each agent's scale.
+A clone starts with an empty one; only the update loop's snapshot gets the
+live memo back, from ``undo_tentative``.  Here every scan the update loop
+makes is checked against a fresh profile of every agent, on the loop
+family's pinned seeds and on near-threshold rows at n = 20 and 40; the
+profile count of the benchmark's near instance is pinned; a rerun from a
+snapshot, or another solve, must not see verdicts it did not make; an edited
+copy, an observer's or a plain clone, changes nothing its parent does; and
+a removal pass after a rescale tests only the rescaled agent.
 """
 
 import hashlib
 from fractions import Fraction
 
 import pytest
-from test_scale_digests import near_threshold
+from test_scale_digests import CASES, near_threshold
 from test_update_loop_family import SEEDS, loop_family
 
 import mmsalloc.bags as bags_mod
@@ -89,6 +91,35 @@ def test_solves_share_nothing():
     alone = envelope_digest(b)
     envelope_digest(a)
     assert envelope_digest(b) == alone
+
+
+def test_an_observer_editing_its_copy_changes_nothing():
+    # The observer drops an agent from its fixed_phase_done copy and scans
+    # it; the solve still runs as a plain one does.
+    build, iterations, expected = CASES["near_50"]
+
+    def observer(event, record):
+        if event == "fixed_phase_done":
+            copy = record["state"]
+            del copy.agents[0]
+            tuple(agents_needing_rescale(copy))
+
+    alloc, stats = solve_poly34(build(), observer=observer)
+    envelope = dump_json(allocation_to_json(alloc, stats))
+    assert stats.update_loop_iterations == iterations
+    assert hashlib.sha256(envelope.encode()).hexdigest() == expected
+
+
+def test_a_clone_shares_no_scratch_with_its_parent():
+    view = order_instance(make_instance([[740, 740, 375, 373, 370, 370, 8, 8, 8, 8]] * 3))
+    st = ReductionState.from_instance(view, range(3), normalize_average(view, range(3)), True)
+    twin = st.clone()
+    del twin.items[0]
+    assert bag_layout(twin) == (((1, 6), (2, 5), (3, 4)), [7, 8, 9])
+    tuple(agents_needing_rescale(twin))
+    fresh = ReductionState(st.agents, st.items, st.rows, st.scale, st.renormalize)
+    assert bag_layout(st) == bag_layout(fresh) == (((0, 5), (1, 4), (2, 3)), [6, 7, 8, 9])
+    assert tuple(agents_needing_rescale(st)) == tuple(agents_needing_rescale(fresh)) == (0, 1, 2)
 
 
 def test_rerun_from_a_snapshot_profiles_afresh(monkeypatch):
