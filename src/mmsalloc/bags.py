@@ -9,20 +9,23 @@ first) until some remaining agent accepts it.
 The per-agent profile measures how far the bags are from uniform for that
 agent: how many bags sit below the acceptance threshold (and by how much in
 total), how many sit above the high-water mark, and how much filler value
-exists to make up the difference.  A profile where high bags outnumber low
-bags while fillers cannot cover the shortfall is the signal that the
-agent's working share bound is overestimated and must be rescaled before
-bag filling can be trusted.  The state's memo keeps each layout and, per
-agent, the verdict with the scale it was judged at, so a scan after a rescale
-with no removal profiles only that agent.  A clone profiles afresh; the
-update loop's snapshot gets the live memo back from ``undo_tentative``.  A
-fill keeps running raw sums against each agent's least accepted raw sum.
+exists to make up the difference.  It reads only the agent's 2n bag entries,
+as two columns, and takes the fillers' worth from her row total.  A profile
+where high bags outnumber low bags while fillers cannot cover the shortfall
+is the signal that the agent's working share bound is overestimated and
+must be rescaled before bag filling can be trusted.  The state's memo keeps
+each layout and, per agent, the verdict with the scale it was judged at, so
+a scan after a rescale with no removal profiles only that agent.  A clone
+profiles afresh; the update loop's snapshot gets the live memo back from
+``undo_tentative``.  A fill keeps running raw sums against each agent's
+least accepted raw sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator
 
 from .errors import InvariantViolation
@@ -77,16 +80,21 @@ class AgentProfile:
 
 
 def profile_agent(state: ReductionState, agent: int, layout: Layout) -> AgentProfile:
-    bags, fillers = layout
+    # Bag k pairs items[k] with items[2n-1-k]: the head column (0 past the last
+    # item) plus the reversed tail column, aligned to the end.  No filler is read.
+    n, items = len(layout[0]), state.items
     row, s = state.rows[agent], state.scale[agent]
+    raws = [*map(row.__getitem__, items[:n]), *[0] * (n - len(items))]
+    tail = items[n:2 * n][::-1]
+    raws[n - len(tail):] = map(add, raws[n - len(tail):], map(row.__getitem__, tail))
     low_lhs, low_rhs = state.cross_terms(agent, LOW_BAG)
     high_lhs, high_rhs = state.cross_terms(agent, HIGH_BAG)
-    raws = [sum(map(row.__getitem__, bag)) for bag in bags]
-    low = [r for r in raws if r * low_lhs < low_rhs]
-    high_count = sum(r * high_lhs > high_rhs for r in raws)
+    # For lhs > 0: r * lhs < rhs iff r < ceil(rhs / lhs); r * lhs > rhs iff r > rhs // lhs.
+    low = [*filter((-(-low_rhs // low_lhs)).__gt__, raws)]
+    high_count = sum(map((high_rhs // high_lhs).__lt__, raws))
     # LOW_BAG * len(low) - s * sum(low), over one common denominator.
     deficit = Fraction(low_rhs * len(low) - low_lhs * sum(low), LOW_BAG.denominator * s.denominator)
-    filler_value = s * sum(map(row.__getitem__, fillers))
+    filler_value = s * (state.totals[agent] - sum(raws))
     needs = high_count > len(low) and filler_value < deficit + Fraction(len(low), 8)
     return AgentProfile(agent, len(low), high_count, deficit, filler_value, needs)
 

@@ -298,7 +298,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
+        if not isinstance(exc, InputError) and "integer string conversion" not in str(exc):
+            raise  # only str() of an int past sys.get_int_max_str_digits() is bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -104,7 +104,9 @@ class ReductionState:
         self.items: list[int] = sorted(items)
         self.rows = rows
         self.scale: dict[int, Fraction] = {a: scale[a] for a in self.agents}
-        self.totals = {a: sum(map(rows[a].__getitem__, self.items)) for a in self.agents}
+        # A state of every item (the from_instance case) sums whole rows.
+        self.totals = {a: sum(rows[a] if items == range(len(rows[a])) else map(rows[a].__getitem__, self.items))
+                       for a in self.agents}
         self.renormalize = renormalize
         self.log: list[AssignmentRecord] = []
         self.observer: Callable[[str, dict, ReductionState], None] | None = None

@@ -17,7 +17,7 @@ from mmsalloc.bags import (
     profile_agent,
 )
 from mmsalloc.errors import InvariantViolation
-from mmsalloc.model import make_instance, order_instance
+from mmsalloc.model import OrderedView, make_instance, order_instance
 from mmsalloc.reduction import (
     ReductionState,
     apply_reduction,
@@ -228,7 +228,8 @@ STEP = st.tuples(
 @given(
     st.integers(1, 5).flatmap(
         lambda n: st.tuples(
-            st.integers(n, 4 * n).flatmap(
+            # m below n too, so some states have empty bags from the start.
+            st.integers(1, 4 * n).flatmap(
                 lambda m: st.lists(st.lists(ENTRY, min_size=m, max_size=m), min_size=n, max_size=n)
             ),
             st.lists(STEP, max_size=4),
@@ -273,6 +274,46 @@ def test_integer_thresholds_match_fraction_reference(case):
         elif state.items:
             apply_reduction(state, agent, (state.items[0],), "fixed", "top", alpha=Fraction(0))
         check()
+
+
+class CountingRow(tuple):
+    """A row that counts its ``__getitem__`` calls; ``sum`` iterates without making any."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        CountingRow.reads += 1
+        return super().__getitem__(j)
+
+
+def test_profile_reads_only_the_bag_entries():
+    # A host-independent cost guard: building the state reads no entry one
+    # at a time, and a profile reads 2n entries of the row however many
+    # fillers there are; after a removal, 2(n-1).
+    n, rng = 6, random.Random(5)
+    reads = {}
+    for fillers in (0, 10 * n):
+        m = 2 * n + fillers
+        rows = [CountingRow(sorted((rng.randint(1, 99) for _ in range(m)), reverse=True)) for _ in range(n)]
+        view = OrderedView(tuple(tuple(range(m)) for _ in rows), tuple(rows))
+        CountingRow.reads = 0
+        state = ReductionState.from_instance(view, range(n), normalize_average(view, range(n)), True)
+        assert CountingRow.reads == 0
+        assert state.totals == {a: sum(rows[a]) for a in range(n)}
+        layout = bag_layout(state)
+        for a in state.agents:
+            CountingRow.reads = 0
+            got = profile_agent(state, a, layout)
+            reads.setdefault(fillers, set()).add(CountingRow.reads)
+            assert asdict(got) == asdict(profile_agent_reference(state, a))
+        apply_reduction(state, 0, (0,), "fixed", "top", alpha=Fraction(0))
+        CountingRow.reads = 0
+        profile_agent(state, 1, bag_layout(state))
+        assert CountingRow.reads == 2 * (n - 1)
+    assert reads == {0: {2 * n}, 10 * n: {2 * n}}
+    # A state of fewer items than the rows hold sums only its own items.
+    part = ReductionState(range(n), range(m - 1), rows, {a: Fraction(1) for a in range(n)}, False)
+    assert part.totals == {a: sum(rows[a][:m - 1]) for a in range(n)}
 
 
 def fill_outcome(fill, state, alpha):

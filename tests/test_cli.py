@@ -294,6 +294,31 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, entry, kind):
     assert out == ""
 
 
+# Fields within the digit limit whose sum is past it: the share of two
+# 4300-digit items at k = 1, and one agent's bundle of both, have 4301 digits.
+LONG = "9" * 4300
+LONG_RESULTS = {
+    "mms --values": lambda inst, alloc: ["mms", "--values", f"{LONG},{LONG}", "--k", "1"],
+    "solve --verify": lambda inst, alloc: ["solve", "--input", inst, "--verify"],
+    "verify": lambda inst, alloc: ["verify", "--input", inst, "--allocation", alloc],
+}
+
+
+@pytest.mark.parametrize("entry", LONG_RESULTS)
+def test_results_past_the_digit_limit_exit_2(tmp_path, capsys, entry):
+    inst, alloc = tmp_path / "inst.json", tmp_path / "alloc.json"
+    inst.write_text(dump_json({"valuations": [[LONG, LONG]]}))
+    alloc.write_text(dump_json({"bundles": [[0, 1]]}))
+    assert run_cli(LONG_RESULTS[entry](str(inst), str(alloc))) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert out == ""
+    # A plain solve prints only normalized values, so it still succeeds.
+    assert run_cli(["solve", "--input", str(inst)]) == 0
+    assert json.loads(capsys.readouterr().out)["bundles"] == [[0, 1]]
+
+
 def test_solve_verify_refuses_over_cap_before_solving(tmp_path, capsys, monkeypatch):
     inst = gen_file(tmp_path, "wide.json", 60, 600, 1)
     solved = []
