@@ -7,18 +7,18 @@ first 2n are "fillers".  Each round tops a bag up with fillers (largest
 first) until some remaining agent accepts it.
 
 The per-agent profile measures how far the bags are from uniform for that
-agent: how many bags sit below the acceptance threshold (and by how much in
-total), how many sit above the high-water mark, and how much filler value
-exists to make up the difference.  It reads only the agent's 2n bag entries,
-as two columns, and takes the fillers' worth from her row total.  A profile
-where high bags outnumber low bags while fillers cannot cover the shortfall
-is the signal that the agent's working share bound is overestimated and
-must be rescaled before bag filling can be trusted.  The state's memo keeps
-each layout and, per agent, the verdict with the scale it was judged at, so
-a scan after a rescale with no removal profiles only that agent.  A clone
-profiles afresh; the update loop's snapshot gets the live memo back from
-``undo_tentative``.  A fill keeps running raw sums against each agent's
-least accepted raw sum.
+agent: how many bags sit below the acceptance threshold, how many sit above
+the high-water mark, and her ``spare`` value, the fillers plus the low bags,
+as one int in her row's raw units.  It reads only the agent's 2n bag
+entries, as two columns, and takes the fillers' worth from her row total.
+A profile where high bags outnumber low bags while the spare value falls
+short of ``SPARE_PER_LOW_BAG`` per low bag is the signal that the agent's
+working share bound is overestimated and must be rescaled before bag
+filling can be trusted.  The state's memo keeps each layout and, per agent,
+the verdict with the scale it was judged at, so a scan after a rescale with
+no removal profiles only that agent.  A clone profiles afresh; the update
+loop's snapshot gets the live memo back from ``undo_tentative``.  A fill
+keeps running raw sums against each agent's least accepted raw sum.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .reduction import ReductionState
 # A profile's low and high bag values, in units of the working share bound.
 LOW_BAG = Fraction(3, 4)
 HIGH_BAG = Fraction(1)
+# The fillers plus the low bags must be worth this much per low bag: each low
+# bag's LOW_BAG, plus 1/8 it may absorb from elsewhere in the accounting.
+SPARE_PER_LOW_BAG = Fraction(7, 8)
 
 # The bags, then the fillers: built once per state and shared by its profiles.
 Layout = tuple[tuple[tuple[int, ...], ...], list[int]]
@@ -62,28 +65,23 @@ class AgentProfile:
     """How one agent sees the current bag layout.
 
     low_bags / high_bags count bags strictly below LOW_BAG (3/4) and
-    strictly above HIGH_BAG (1); deficit is the total shortfall of the
-    low bags; filler_value is the agent's value for everything outside the
-    bags.  The agent is unbalanced when high_bags > 0, and needs_rescale
-    marks the stronger condition that her working share bound is provably
-    overestimated: more high bags than low ones, yet not enough filler value
-    to plug the low bags' deficit (each low bag can also absorb up to 1/8
-    from elsewhere in the accounting, hence the low_bags/8 allowance).
+    strictly above HIGH_BAG (1); spare is the agent's raw value (unscaled,
+    in her row's int units) of the fillers plus the low bags.  needs_rescale
+    marks that her working share bound is provably overestimated: more high
+    bags than low ones, while scale * spare < SPARE_PER_LOW_BAG * low_bags.
     """
 
     agent: int
     low_bags: int
     high_bags: int
-    deficit: Fraction
-    filler_value: Fraction
+    spare: int
     needs_rescale: bool
 
 
 def profile_agent(state: ReductionState, agent: int, layout: Layout) -> AgentProfile:
     # Bag k pairs items[k] with items[2n-1-k]: the head column (0 past the last
     # item) plus the reversed tail column, aligned to the end.  No filler is read.
-    n, items = len(layout[0]), state.items
-    row, s = state.rows[agent], state.scale[agent]
+    n, items, row = len(layout[0]), state.items, state.rows[agent]
     raws = [*map(row.__getitem__, items[:n]), *[0] * (n - len(items))]
     tail = items[n:2 * n][::-1]
     raws[n - len(tail):] = map(add, raws[n - len(tail):], map(row.__getitem__, tail))
@@ -92,11 +90,11 @@ def profile_agent(state: ReductionState, agent: int, layout: Layout) -> AgentPro
     # For lhs > 0: r * lhs < rhs iff r < ceil(rhs / lhs); r * lhs > rhs iff r > rhs // lhs.
     low = [*filter((-(-low_rhs // low_lhs)).__gt__, raws)]
     high_count = sum(map((high_rhs // high_lhs).__lt__, raws))
-    # LOW_BAG * len(low) - s * sum(low), over one common denominator.
-    deficit = Fraction(low_rhs * len(low) - low_lhs * sum(low), LOW_BAG.denominator * s.denominator)
-    filler_value = s * (state.totals[agent] - sum(raws))
-    needs = high_count > len(low) and filler_value < deficit + Fraction(len(low), 8)
-    return AgentProfile(agent, len(low), high_count, deficit, filler_value, needs)
+    # The fillers plus the low bags: her total less the bags that are not low.
+    spare = state.totals[agent] - sum(raws) + sum(low)
+    lhs, rhs = state.cross_terms(agent, SPARE_PER_LOW_BAG)
+    needs = high_count > len(low) and spare * lhs < rhs * len(low)
+    return AgentProfile(agent, len(low), high_count, spare, needs)
 
 
 def agents_needing_rescale(state: ReductionState) -> Iterator[int]:

@@ -99,6 +99,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_mms(args) -> int:
+    if args.k > ORACLE_CAP:  # past it every share is 0, with k witness bundles to print
+        raise InputError(f"--k {args.k} exceeds the oracle cap of {ORACLE_CAP}")
     tokens = [t.strip() for t in args.values.split(",")]
     if "" in tokens:
         raise InputError(f"--values has an empty field: {args.values!r}")

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .bags import (
-    LOW_BAG,
+    SPARE_PER_LOW_BAG,
     agents_needing_rescale,
     bag_layout,
     fill_bags,
@@ -121,9 +121,11 @@ def rescale_candidates(
 
     Keys: "top", "mid_pair" and "tail_triple" (4/3 of the agent's value for
     that fixed removal bundle of ``candidate_bundles``), "open_pair" (4/3 of
-    the best non-held bag item plus the best non-held filler), "bag_deficit"
-    (from the low-bag accounting).  A candidate with no witness items is
-    omitted.
+    the best non-held bag item plus the best non-held filler), and
+    "bag_deficit", ``scale * spare / (7/8 * low_bags)`` from the agent's
+    bag profile: a scan fires for her exactly when it is < 1 with more high
+    bags than low.  A candidate with no witness items (for "bag_deficit", no
+    low bag) is omitted.
     """
     four_thirds = Fraction(4, 3)
     cands: dict[str, Fraction] = {
@@ -138,10 +140,7 @@ def rescale_candidates(
         cands["open_pair"] = four_thirds * state.bundle_value(agent, (bag_item, filler_item))
     prof = profile_agent(state, agent, layout)
     if prof.low_bags > 0:
-        # The low bags hold LOW_BAG * low_bags - deficit between them.
-        cands["bag_deficit"] = (
-            prof.filler_value + LOW_BAG * prof.low_bags - prof.deficit
-        ) / (Fraction(7, 8) * prof.low_bags)
+        cands["bag_deficit"] = state.scale[agent] * prof.spare / (SPARE_PER_LOW_BAG * prof.low_bags)
     return cands
 
 

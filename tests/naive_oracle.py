@@ -66,25 +66,32 @@ def normalize_average_reference(inst: Instance, agents) -> dict[int, list[Fracti
     }
 
 
-def profile_agent_reference(state, agent: int) -> AgentProfile:
+def profile_agent_reference(state, agent: int) -> tuple[AgentProfile, Fraction | None]:
     """``bags.profile_agent`` in plain ``Fraction`` arithmetic: every bag
-    valued, compared against 3/4 and 1, and summed as a rational."""
+    valued, compared against 3/4 and 1, and summed as a rational.  The
+    rescale test is stated on values, not on the raw ``spare`` sum: the
+    fillers' value falls short of the low bags' deficit plus 1/8 per low
+    bag.  Also returns the "bag_deficit" bound of
+    ``solver.rescale_candidates`` in the same terms, or None with no low
+    bag."""
     low, high = Fraction(3, 4), Fraction(1)
     bags, fillers = bag_layout(state)
-    bag_values = [state.bundle_value(agent, bag) for bag in bags]
-    low_vals = [v for v in bag_values if v < low]
-    high_count = sum(1 for v in bag_values if v > high)
-    deficit = sum((low - v for v in low_vals), Fraction(0))
+    low_bags = [bag for bag in bags if state.bundle_value(agent, bag) < low]
+    high_count = sum(1 for bag in bags if state.bundle_value(agent, bag) > high)
+    deficit = sum((low - state.bundle_value(agent, bag) for bag in low_bags), Fraction(0))
     filler_value = state.bundle_value(agent, fillers)
-    needs = high_count > len(low_vals) and filler_value < deficit + Fraction(len(low_vals), 8)
-    return AgentProfile(
+    count = len(low_bags)
+    needs = high_count > count and filler_value < deficit + Fraction(count, 8)
+    spare = sum(state.rows[agent][j] for j in [*fillers, *(j for bag in low_bags for j in bag)])
+    bound = (filler_value + low * count - deficit) / (Fraction(7, 8) * count) if count else None
+    profile = AgentProfile(
         agent=agent,
-        low_bags=len(low_vals),
+        low_bags=count,
         high_bags=high_count,
-        deficit=deficit,
-        filler_value=filler_value,
+        spare=spare,
         needs_rescale=needs,
     )
+    return profile, bound
 
 
 def fill_bags_reference(state, alpha: Fraction) -> BagFillResult:

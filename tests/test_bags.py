@@ -24,7 +24,7 @@ from mmsalloc.reduction import (
     candidate_bundles,
     undo_tentative,
 )
-from mmsalloc.solver import normalize_average
+from mmsalloc.solver import normalize_average, rescale_candidates
 
 
 def make_state(rows, renormalize=True):
@@ -81,11 +81,11 @@ def test_profile_classify_example():
     p = profile_agent(st, 0, bag_layout(st))
     assert p.low_bags == 1          # bag {37, 36} = 0.73
     assert p.high_bags == 1         # bag {73, 28} = 1.01
-    assert p.deficit == Fraction(1, 50)
-    assert p.filler_value == Fraction(7, 25)
-    assert p.high_bags > 0
-    # enough filler mass: 0.28 >= 0.02 + 1/8
+    # raw 28 of fillers plus the low bag's 73, at scale 1/100
+    assert p.spare == 101
+    # no more high bags than low, and 1.01 >= 7/8 anyway
     assert p.needs_rescale is False
+    assert rescale_candidates(st, 0, set())["bag_deficit"] == Fraction(101, 100) / Fraction(7, 8)
 
 
 def test_profile_needs_rescale():
@@ -93,10 +93,52 @@ def test_profile_needs_rescale():
     st = make_state([row, row, row])
     p = profile_agent(st, 0, bag_layout(st))
     assert (p.low_bags, p.high_bags) == (1, 2)
-    assert p.deficit == Fraction(1, 500)
-    assert p.filler_value == Fraction(4, 125)
+    # raw 32 of fillers plus the low bag's 748, at scale 1/1000: 0.78 < 7/8
+    assert p.spare == 780
     assert p.needs_rescale is True
     assert tuple(agents_needing_rescale(st)) == (0, 1, 2)
+    assert rescale_candidates(st, 0, set())["bag_deficit"] == Fraction(156, 175)
+
+
+def test_profile_shortfall_is_strict():
+    # bags {560, 290} twice (high) and {290, 290} (low) at scale 1/800: the
+    # fillers plus the low bag are worth exactly 7/8, which is no shortfall
+    row = [560, 560, 290, 290, 290, 290, 60, 60]
+    st = make_state([row] * 3)
+    p = profile_agent(st, 0, bag_layout(st))
+    assert (p.low_bags, p.high_bags, p.spare) == (1, 2, 700)
+    assert p.needs_rescale is False
+    assert rescale_candidates(st, 0, set())["bag_deficit"] == 1
+    # one raw unit less of filler: 3 * 699 / 2399 < 7/8
+    st = make_state([row[:-1] + [59]] * 3)
+    p = profile_agent(st, 0, bag_layout(st))
+    assert (p.low_bags, p.high_bags, p.spare) == (1, 2, 699)
+    assert p.needs_rescale is True
+    assert rescale_candidates(st, 0, set())["bag_deficit"] == Fraction(16776, 16793)
+
+
+def test_rescale_scan_builds_no_fraction(monkeypatch):
+    # A host-independent cost guard: once the state is built, a scan of it
+    # compares ints only, for an agent that needs a rescale, one whose high
+    # bags do not outnumber her low ones, and one exactly on the 7/8 line.
+    states = [
+        make_state([[740, 740, 375, 373, 370, 370, 8, 8, 8, 8]] * 3),
+        make_state([[73, 68, 37, 36, 30, 28] + [1] * 28] * 3),
+        make_state([[560, 560, 290, 290, 290, 290, 60, 60]] * 3),
+    ]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    assert [tuple(agents_needing_rescale(st)) for st in states] == [(0, 1, 2), (), ()]
+    assert built == []
+    # the wrap sees what does build one: a bound that leaves the solver
+    assert rescale_candidates(states[0], 0, set())["bag_deficit"] == Fraction(156, 175)
+    assert built
 
 
 def test_rescale_scan_stops_at_first_hit(monkeypatch):
@@ -254,7 +296,9 @@ def test_integer_thresholds_match_fraction_reference(case):
                 for alpha in alphas:
                     assert state.values_at_least(a, bundle, alpha) == (value >= alpha)
             got = profile_agent(state, a, bag_layout(state))
-            assert asdict(got) == asdict(profile_agent_reference(state, a))
+            want, bag_deficit = profile_agent_reference(state, a)
+            assert asdict(got) == asdict(want)
+            assert rescale_candidates(state, a, set()).get("bag_deficit") == bag_deficit
 
     check()
     for kind, pick, factor in steps:
@@ -305,7 +349,7 @@ def test_profile_reads_only_the_bag_entries():
             CountingRow.reads = 0
             got = profile_agent(state, a, layout)
             reads.setdefault(fillers, set()).add(CountingRow.reads)
-            assert asdict(got) == asdict(profile_agent_reference(state, a))
+            assert asdict(got) == asdict(profile_agent_reference(state, a)[0])
         apply_reduction(state, 0, (0,), "fixed", "top", alpha=Fraction(0))
         CountingRow.reads = 0
         profile_agent(state, 1, bag_layout(state))

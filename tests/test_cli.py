@@ -61,6 +61,9 @@ def test_gen_round_trips_through_loader(tmp_path):
 def test_mms_prints_value_then_partition(capsys):
     assert run_cli(["mms", "--values", "4,3,2,1", "--k", "2"]) == 0
     assert capsys.readouterr().out == "5\n{4,1},{3,2}\n"
+    # the largest k the oracle takes; 25 is refused (oracle_cap_cases)
+    assert run_cli(["mms", "--values", "4,3", "--k", "24"]) == 0
+    assert capsys.readouterr().out == "0\n{4},{3}" + ",{}" * 22 + "\n"
 
 
 def test_mms_accepts_fractions(capsys):
@@ -199,7 +202,7 @@ def test_verify_alpha_flag(tmp_path, capsys):
 
 def oracle_cap_cases(tmp_path):
     # One item past the oracle's cap of 24, through every command that
-    # computes an exact share.
+    # computes an exact share, and one bundle past it for mms.
     big = tmp_path / "big.json"
     big.write_text(dump_json({"agents": 2, "items": 25, "valuations": [[1] * 25] * 2}))
     halves = tmp_path / "halves.json"
@@ -209,6 +212,7 @@ def oracle_cap_cases(tmp_path):
         ["solve", "--input", str(big), "--verify"],
         ["verify", "--input", str(big), "--allocation", str(halves)],
         ["mms", "--values", ",".join(["1"] * 25), "--k", "2"],
+        ["mms", "--values", "4,3", "--k", "25"],
     ]
 
 
