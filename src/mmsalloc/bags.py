@@ -15,10 +15,10 @@ A profile where high bags outnumber low bags while the spare value falls
 short of ``SPARE_PER_LOW_BAG`` per low bag is the signal that the agent's
 working share bound is overestimated and must be rescaled before bag
 filling can be trusted.  The state's memo keeps each layout and, per agent,
-the verdict with the scale it was judged at, so a scan after a rescale with
-no removal profiles only that agent.  A clone profiles afresh; the update
-loop's snapshot gets the live memo back from ``undo_tentative``.  A fill
-keeps running raw sums against each agent's least accepted raw sum.
+the verdict with the stamp of the scale it was judged at, so a scan after a
+rescale with no removal profiles only that agent.  A clone profiles afresh;
+the update loop's snapshot gets the live memo back from ``undo_tentative``.
+A fill keeps running raw sums against each agent's least accepted raw sum.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def bag_layout(state: ReductionState) -> Layout:
         n = len(state.agents)
         items = state.items
         bags = tuple(tuple(items[p] for p in (k, 2 * n - 1 - k) if p < len(items)) for k in range(n))
-        # The layout, and agent -> (scale, needs_rescale) for the scans of it.
+        # The layout, and agent -> (scale stamp, needs_rescale) for its scans.
         entry = state.memo[state.version] = ((bags, items[2 * n:]), {})
     return entry[0]
 
@@ -106,10 +106,10 @@ def agents_needing_rescale(state: ReductionState) -> Iterator[int]:
     layout = bag_layout(state)
     verdicts = state.memo[state.version][1]
     for a in state.agents:
-        # Every rescale stores a new Fraction, so identity is exact and hashes none.
-        seen = verdicts.get(a)
-        if seen is None or seen[0] is not state.scale[a]:
-            seen = verdicts[a] = (state.scale[a], profile_agent(state, a, layout).needs_rescale)
+        # Each write of a scale makes a new stamp: identity is exact, hashes nothing.
+        seen, stamp = verdicts.get(a), state.stamp(a)
+        if seen is None or seen[0] is not stamp:
+            seen = verdicts[a] = (stamp, profile_agent(state, a, layout).needs_rescale)
         if seen[1]:
             yield a
 

@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -150,7 +151,8 @@ def order_instance(inst: Instance) -> OrderedView:
         # A stable sort stays stable under reverse=True: ties keep ascending ids.
         order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
         rankings.append(tuple(order))
-        int_rows.append(tuple(map(row.__getitem__, order)))
+        # itemgetter gives a bare item for one index and refuses none: such rows are sorted.
+        int_rows.append(itemgetter(*order)(row) if len(row) > 1 else tuple(row))
     return OrderedView(tuple(rankings), tuple(int_rows))
 
 
@@ -177,9 +179,12 @@ def lift_allocation(inst: Instance, view: OrderedView, alloc: Allocation) -> All
     agent ends up with a bundle she values at least as much as her bundle in
     the sorted view.  Runs in O(n*m).
 
-    Raises InputError unless the input bundles partition all items.
+    Raises InputError unless the bundles, one per agent, partition all
+    items, and each leftover sits in ``leftover_agent``'s bundle.
     """
     n, m = inst.n, inst.m
+    if len(alloc.bundles) != n:
+        raise InputError(f"{len(alloc.bundles)} bundles for {n} agents")
     owner = [-1] * m
     for agent, bundle in enumerate(alloc.bundles):
         for pos in bundle:
@@ -188,6 +193,8 @@ def lift_allocation(inst: Instance, view: OrderedView, alloc: Allocation) -> All
             owner[pos] = agent
     if any(o == -1 for o in owner):
         raise InputError("some positions were never assigned")
+    if any(not 0 <= pos < m or owner[pos] != alloc.leftover_agent for pos in alloc.leftovers):
+        raise InputError(f"leftovers {alloc.leftovers} are not all positions of the leftover agent")
 
     taken = [False] * m
     cursor = [0] * n

@@ -20,22 +20,25 @@ only shrink, so qualification only gets harder).
 A ``ReductionState`` is single-owner and mutated in place by the operations
 here; they hand the state back for chaining.  Its rows are the sorted
 integer rows that ``model.order_instance`` cleared, read-only and shared by
-clones; an agent's value is her rational scale times the raw int, so a
-rescale multiplies one number, a threshold test (``values_at_least``) is an
-integer sum and cross-multiplication, and a renormalization sets the scale
-to the agent count over her raw total, summed once when the state is built
-and then only reduced by each removed bundle.  Whoever may roll back the
-tentative phase clones the state before it and hands that snapshot to
-``undo_tentative``, which gives it the state's memo.  The state reports each
-removal, before making it, through one optional hook that receives the event
-name, its JSON-ready fields and the state itself; it copies nothing, so
-whoever listens decides what to keep.
+clones.  An agent's scale is an int pair ``(num, den)``, read by no other
+module, and she values raw ``r`` at ``num * r / den``: a threshold test
+(``values_at_least``) is an integer sum and cross-multiplication, a rescale
+multiplies the pair and reduces it once, and a renormalization stores the
+agent count over her raw total, unreduced.  That total is summed once when
+the state is built and then only reduced by each removed bundle.  Whoever
+may roll back the tentative phase clones the state before it and hands that
+snapshot to ``undo_tentative``, which gives it the state's memo.  The state
+reports each removal, before making it, through one optional hook that
+receives the event name, its JSON-ready fields and the state itself; it
+copies nothing, so whoever listens decides what to keep.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -75,8 +78,8 @@ class ReductionState:
     item order remains descending-by-value for every agent throughout.
     ``rows[a][j]`` is agent ``a``'s raw integer value for item ``j``; the
     rows are never written, and clones share them.  Agent ``a`` values item
-    ``j`` at ``scale[a] * rows[a][j]``, every scale is positive, and
-    ``totals[a]`` is her raw sum over ``items``.  When ``renormalize`` is
+    ``j`` at ``num * rows[a][j] / den`` for ``(num, den) = scale[a] > 0``,
+    and ``totals[a]`` is her raw sum over ``items``.  When ``renormalize`` is
     set, every surviving agent is rescaled after each removal so her
     remaining items sum exactly to the number of remaining agents (keeping
     each maximin share at most 1 via the average bound).
@@ -97,13 +100,13 @@ class ReductionState:
         agents: Iterable[int],
         items: Iterable[int],
         rows: Sequence[Sequence[int]],
-        scale: Mapping[int, Fraction],
+        scale: Mapping[int, tuple[int, int]],
         renormalize: bool,
     ):
         self.agents: list[int] = sorted(agents)
         self.items: list[int] = sorted(items)
         self.rows = rows
-        self.scale: dict[int, Fraction] = {a: scale[a] for a in self.agents}
+        self.scale: dict[int, tuple[int, int]] = {a: scale[a] for a in self.agents}
         # A state of every item (the from_instance case) sums whole rows.
         self.totals = {a: sum(rows[a] if items == range(len(rows[a])) else map(rows[a].__getitem__, self.items))
                        for a in self.agents}
@@ -136,12 +139,17 @@ class ReductionState:
         return twin
 
     def bundle_value(self, agent: int, items: Iterable[int]) -> Fraction:
-        return self.scale[agent] * sum(map(self.rows[agent].__getitem__, items))
+        num, den = self.scale[agent]
+        return Fraction(num * sum(map(self.rows[agent].__getitem__, items)), den)
+
+    def stamp(self, agent: int) -> object:
+        """Stands for ``agent``'s scale; each write of it makes a new one."""
+        return self.scale[agent]
 
     def cross_terms(self, agent: int, alpha: Fraction) -> tuple[int, int]:
         """``(lhs, rhs)``: ``agent`` values raw ``r`` at ``alpha`` or more iff ``r*lhs >= rhs``."""
-        s = self.scale[agent]
-        return s.numerator * alpha.denominator, alpha.numerator * s.denominator
+        num, den = self.scale[agent]
+        return num * alpha.denominator, alpha.numerator * den
 
     def values_at_least(self, agent: int, items: Iterable[int], alpha: Fraction) -> bool:
         """``bundle_value(agent, items) >= alpha``, compared on ints."""
@@ -151,7 +159,10 @@ class ReductionState:
     def scale_row(self, agent: int, factor: Fraction) -> None:
         if factor <= 0:
             raise InvariantViolation(f"row scale factor {factor} not positive")
-        self.scale[agent] *= factor
+        num, den = self.scale[agent]
+        num, den = num * factor.numerator, den * factor.denominator
+        g = math.gcd(num, den)
+        self.scale[agent] = (num // g, den // g)
 
     def _notify(self, event: str, fields: dict) -> None:
         if self.observer is not None:
@@ -159,19 +170,14 @@ class ReductionState:
 
 
 def candidate_bundles(state: ReductionState) -> tuple[tuple[int, ...], ...]:
-    """The four positional bundles for the current remaining-agent count,
-    in priority order, truncated to existing positions."""
-    n = len(state.agents)
-    items = state.items
-
-    def at(*positions: int) -> tuple[int, ...]:
-        return tuple(items[p - 1] for p in positions if 1 <= p <= len(items))
-
+    """The four positional bundles for the current remaining-agent count
+    (at least one), in priority order, truncated to existing positions."""
+    n, items = len(state.agents), state.items
     return (
-        at(1),
-        at(n, n + 1),
-        at(2 * n - 1, 2 * n, 2 * n + 1),
-        at(1, 2 * n + 1),
+        tuple(items[:1]),
+        tuple(items[n - 1:n + 1]),
+        tuple(items[2 * n - 2:2 * n + 1]),
+        (*items[:1], *items[2 * n:2 * n + 1]),
     )
 
 
@@ -185,18 +191,18 @@ def apply_reduction(
 ) -> ReductionState:
     """Remove one agent with one bundle, log it, and restore the invariants.
 
-    The receiving agent must value the bundle at or above ``alpha``
-    (InvariantViolation otherwise).  Afterwards any surviving agent
-    whose whole row became zero is removed too (the empty bundle satisfies
-    her), and when the state renormalizes, the surviving rows are rescaled
-    to sum to the new agent count.
+    The bundle must be distinct remaining items that the receiving agent
+    values at ``alpha`` or more (InvariantViolation otherwise).  Afterwards
+    any surviving agent whose whole row became zero is removed too (the
+    empty bundle satisfies her), and when the state renormalizes, the
+    surviving rows are rescaled to sum to the new agent count.
     """
-    bundle = tuple(bundle)
+    bundle, items = tuple(bundle), state.items
     if agent not in state.agents:
         raise InvariantViolation(f"agent {agent} is not in the state")
-    removed = set(bundle)
-    if not removed <= set(state.items):
-        raise InvariantViolation(f"bundle {bundle} is not a subset of remaining items")
+    spots = [bisect_left(items, j) for j in bundle]
+    if len(set(spots)) < len(spots) or [items[p] for p in spots if p < len(items)] != [*bundle]:
+        raise InvariantViolation(f"bundle {bundle} is not distinct remaining items")
     if not state.values_at_least(agent, bundle, alpha):
         raise InvariantViolation(
             f"agent {agent} values {bundle} at {state.bundle_value(agent, bundle)} < {alpha}"
@@ -206,7 +212,8 @@ def apply_reduction(
     state._notify("reduce", record.to_json())
 
     state.agents.remove(agent)
-    state.items = [j for j in state.items if j not in removed]
+    for p in sorted(spots, reverse=True):
+        del items[p]
     for a in state.agents:
         state.totals[a] -= sum(map(state.rows[a].__getitem__, bundle))
     del state.totals[agent]
@@ -221,7 +228,7 @@ def apply_reduction(
         state.log.append(zero)
     if state.renormalize:
         for a in state.agents:
-            state.scale[a] = Fraction(len(state.agents), state.totals[a])
+            state.scale[a] = (len(state.agents), state.totals[a])
     return state
 
 

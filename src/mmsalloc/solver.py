@@ -133,14 +133,15 @@ def rescale_candidates(
         for shape, bundle in zip(FIXED_SHAPES, candidate_bundles(state))
     }
     bags, fillers = layout = bag_layout(state)
-    # Item ids ascend as values descend, so the smallest id is the best item.
-    bag_item = min((j for bag in bags for j in bag if j not in held_out), default=None)
+    # The bags hold the first 2n items, and items run from best to worst.
+    bag_item = next((j for j in state.items[:2 * len(bags)] if j not in held_out), None)
     filler_item = next((j for j in fillers if j not in held_out), None)
     if bag_item is not None and filler_item is not None:
         cands["open_pair"] = four_thirds * state.bundle_value(agent, (bag_item, filler_item))
     prof = profile_agent(state, agent, layout)
     if prof.low_bags > 0:
-        cands["bag_deficit"] = state.scale[agent] * prof.spare / (SPARE_PER_LOW_BAG * prof.low_bags)
+        lhs, rhs = state.cross_terms(agent, SPARE_PER_LOW_BAG)
+        cands["bag_deficit"] = Fraction(prof.spare * lhs, rhs * prof.low_bags)
     return cands
 
 
@@ -229,24 +230,23 @@ def _compose_allocation(
     return lift_allocation(inst, view, ordered_alloc)
 
 
-def normalize_average(view: OrderedView, agents: list[int]) -> dict[int, Fraction]:
-    """One scale per agent of ``agents``, ``len(agents) / sum(int_row)``, so
-    her scaled row sums to the agent count and her maximin share is at most
-    1 (the average bound).  Every row must be nonzero.
-    """
-    return {a: Fraction(len(agents), sum(view.int_rows[a])) for a in agents}
+def normalize_average(view: OrderedView, agents: list[int]) -> dict[int, tuple[int, int]]:
+    """One scale per agent of ``agents``, ``(len(agents), sum(int_row))``,
+    so her scaled row sums to the agent count and her maximin share is at
+    most 1 (the average bound).  Every row must be nonzero."""
+    return {a: (len(agents), sum(view.int_rows[a])) for a in agents}
 
 
-def normalize_mms(shares: dict[int, int]) -> dict[int, Fraction]:
-    """One scale per agent of ``shares``, ``1 / share``, making her positive
+def normalize_mms(shares: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """One scale per agent of ``shares``, ``(1, share)``, making her positive
     share 1.  Each share is in the units of her cleared row."""
-    return {a: Fraction(1, mu) for a, mu in shares.items()}
+    return {a: (1, mu) for a, mu in shares.items()}
 
 
 def _solve(
     inst: Instance,
     dropped: list[int],
-    normalize: Callable[[OrderedView, list[int]], dict[int, Fraction]],
+    normalize: Callable[[OrderedView, list[int]], dict[int, tuple[int, int]]],
     reduce: Callable[[ReductionState, Callable[..., None]], tuple[ReductionState, int]],
     alpha: Fraction,
     shares: list[int] | None,

@@ -3,10 +3,10 @@
 ``naive_mms`` enumerates every one of the k**m ways to drop m items into
 k bundles and takes the best minimum bundle sum.  Exponential and proudly
 so: it exists only to cross-check the real oracle on tiny inputs.  The
-other helpers check a witness partition, rescale one agent's row,
-normalize rows, profile an agent's bags and fill the bags in plain
-``Fraction`` arithmetic or one agent test at a time, and take a copy of a
-reduction state's contents to compare against later.
+other helpers check a witness partition, rescale one agent's row, sort
+rows by a keyed sort, normalize rows, profile an agent's bags and fill the
+bags in plain ``Fraction`` arithmetic or one agent test at a time, and take
+a copy of a reduction state's contents to compare against later.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ from itertools import product
 
 from mmsalloc.bags import AgentProfile, BagFillResult, bag_layout
 from mmsalloc.errors import InputError, InvariantViolation
-from mmsalloc.model import Instance, make_instance
+from mmsalloc.model import Instance, OrderedView, make_instance
 
 
 def naive_mms(values, k: int) -> Fraction:
@@ -54,6 +54,16 @@ def scale_agent(inst: Instance, agent: int, factor: Fraction) -> Instance:
     rows = [list(row) for row in inst.values]
     rows[agent] = [v * factor for v in rows[agent]]
     return make_instance(rows)
+
+
+def order_instance_reference(inst: Instance) -> OrderedView:
+    """``model.order_instance`` as a keyed sort on the ``Fraction`` values:
+    descending value, ties by ascending item id, each row read item by item."""
+    rankings = tuple(
+        tuple(sorted(range(len(row)), key=lambda j: (-row[j], j))) for row in inst.values
+    )
+    int_rows = tuple(tuple(inst.rows[i][j] for j in order) for i, order in enumerate(rankings))
+    return OrderedView(rankings, int_rows)
 
 
 def normalize_average_reference(inst: Instance, agents) -> dict[int, list[Fraction]]:

@@ -37,7 +37,7 @@ def make_state(rows, renormalize=True):
 
 def layout(n, m):
     # n agents over items range(m); bag_layout reads only agents and items.
-    scales = {a: Fraction(1) for a in range(n)}
+    scales = {a: (1, 1) for a in range(n)}
     return bag_layout(ReductionState(range(n), range(m), [[1] * m] * n, scales, False))
 
 
@@ -61,7 +61,7 @@ def test_last_bag_is_the_mid_pair():
     for n in range(1, 7):
         for m in range(21):
             items = sorted(rng.sample(range(40), m))
-            scales = {a: Fraction(1) for a in range(n)}
+            scales = {a: (1, 1) for a in range(n)}
             state = ReductionState(range(n), items, [[1] * 40] * n, scales, False)
             assert bag_layout(state)[0][-1] == candidate_bundles(state)[1], (n, items)
 
@@ -242,7 +242,7 @@ def test_fill_bags_exhausted_without_renormalization():
     # tiny values, no renormalization: the threshold is out of reach
     inst = make_instance([[Fraction(1, 100)] * 2] * 2)
     view = order_instance(inst)
-    scales = {a: Fraction(1, d) for a, d in enumerate(inst.denominators)}
+    scales = {a: (1, d) for a, d in enumerate(inst.denominators)}
     st = ReductionState.from_instance(view, [0, 1], scales, renormalize=False)
     with pytest.raises(InvariantViolation, match="no filler left and no agent accepts"):
         fill_bags(st, Fraction(3, 4))
@@ -356,7 +356,7 @@ def test_profile_reads_only_the_bag_entries():
         assert CountingRow.reads == 2 * (n - 1)
     assert reads == {0: {2 * n}, 10 * n: {2 * n}}
     # A state of fewer items than the rows hold sums only its own items.
-    part = ReductionState(range(n), range(m - 1), rows, {a: Fraction(1) for a in range(n)}, False)
+    part = ReductionState(range(n), range(m - 1), rows, {a: (1, 1) for a in range(n)}, False)
     assert part.totals == {a: sum(rows[a][:m - 1]) for a in range(n)}
 
 

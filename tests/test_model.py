@@ -4,10 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from naive_oracle import normalize_average_reference, scale_agent
+from naive_oracle import normalize_average_reference, order_instance_reference, scale_agent
 
 from mmsalloc.errors import InputError
 from mmsalloc.model import (
@@ -119,6 +119,24 @@ def test_order_instance_sorts_and_ranks():
     assert view.ranking[0] == (0, 2, 3, 1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda m: st.lists(
+        st.lists(st.sampled_from([0, 1, 1, 2, "1/2", "2/4"]), min_size=m, max_size=m),
+        min_size=1,
+        max_size=4,
+    )
+))
+@example([[]])
+@example([[7], [0]])
+@example([[2, 2], [1, 3], [0, 0]])
+def test_order_instance_matches_keyed_sort_reference(rows):
+    # Tie-heavy rows of every width from 0 up: both the rankings and the
+    # sorted int rows are those of a keyed sort on the Fraction values.
+    inst = make_instance(rows)
+    assert order_instance(inst) == order_instance_reference(inst)
+
+
 def test_order_instance_rows_independent():
     inst = make_instance([[1, 2, 3], [3, 2, 1]])
     view = order_instance(inst)
@@ -190,7 +208,7 @@ def test_integer_kernel_matches_fraction_reference_on_rational_rows(rows):
     sorted_ref = normalize_average_reference(make_instance(sorted_rows), active)
     original_ref = normalize_average_reference(inst, active)
     for i in active:
-        scaled = [scales[i] * v for v in view.int_rows[i]]
+        scaled = [Fraction(*scales[i]) * v for v in view.int_rows[i]]
         assert scaled == sorted_ref[i]
         assert scaled == [original_ref[i][j] for j in view.ranking[i]]
 
@@ -229,12 +247,22 @@ def test_lift_never_loses_value(data):
 
 
 def test_lift_requires_partition():
-    inst = make_instance([[3, 2, 1], [1, 2, 3]])
-    view = order_instance(inst)
-    with pytest.raises(InputError, match="some positions were never assigned"):
-        lift_allocation(inst, view, Allocation(bundles=((0,), (1,))))
-    with pytest.raises(InputError, match="position 1 is missing or assigned twice"):
-        lift_allocation(inst, view, Allocation(bundles=((0, 1), (1, 2))))
+    # (rows, allocation, error): every malformed allocation is an InputError.
+    one, two = [[3, 2]], [[3, 2, 1], [1, 2, 3]]
+    table = [
+        (two, Allocation(bundles=((0,), (1,))), "some positions were never assigned"),
+        (two, Allocation(bundles=((0, 1), (1, 2))), "position 1 is missing or assigned twice"),
+        (one, Allocation(bundles=((0,), (1,))), "2 bundles for 1 agents"),
+        (two, Allocation(bundles=((0, 1, 2),)), "1 bundles for 2 agents"),
+        (one, Allocation(bundles=((0, 1),), leftovers=(5,), leftover_agent=0), r"leftovers \(5,\)"),
+        (one, Allocation(bundles=((0, 1),), leftovers=(-1,), leftover_agent=0), r"leftovers \(-1,\)"),
+        (one, Allocation(bundles=((0, 1),), leftovers=(1,)), r"leftovers \(1,\)"),
+        (two, Allocation(bundles=((0,), (1, 2)), leftovers=(1,), leftover_agent=0), r"leftovers \(1,\)"),
+    ]
+    for rows, alloc, error in table:
+        inst = make_instance(rows)
+        with pytest.raises(InputError, match=error):
+            lift_allocation(inst, order_instance(inst), alloc)
 
 
 def test_lift_identity_when_rows_agree():
@@ -246,7 +274,8 @@ def test_lift_identity_when_rows_agree():
 
 
 def scaled_rows(view, scales):
-    return {a: [scale * v for v in view.int_rows[a]] for a, scale in scales.items()}
+    # Each scale is an int pair (num, den).
+    return {a: [Fraction(*scale) * v for v in view.int_rows[a]] for a, scale in scales.items()}
 
 
 def test_normalize_average_row_sums():
@@ -288,7 +317,7 @@ def test_normalize_mms_divides_cleared_rows():
     view = order_instance(inst)
     assert inst.rows[0] == (3, 2) and inst.denominators[0] == 6
     scales = normalize_mms({0: 2, 1: 7})
-    assert scales == {0: Fraction(1, 2), 1: Fraction(1, 7)}
+    assert {a: Fraction(*pair) for a, pair in scales.items()} == {0: Fraction(1, 2), 1: Fraction(1, 7)}
     rows = scaled_rows(view, scales)
     assert rows == {0: [Fraction(3, 2), 1], 1: [Fraction(4, 7), Fraction(3, 7)]}
 

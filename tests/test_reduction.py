@@ -97,6 +97,16 @@ def test_apply_reduction_rejects_unknown_agent_or_items():
         apply_reduction(st_, 0, (9,), "fixed", "top", alpha=Fraction(0))
 
 
+def test_apply_reduction_rejects_a_repeated_item():
+    # Counted twice, item 0 (worth 5) would clear 9 and come off each
+    # survivor's total twice; the state must be left as it was.
+    view = order_instance(make_instance([[5, 3, 2], [4, 4, 2], [3, 3, 3]]))
+    st_ = ReductionState.from_instance(view, range(3), {a: (1, 1) for a in range(3)}, False)
+    with pytest.raises(InvariantViolation, match=r"bundle \(0, 0\) is not distinct remaining items"):
+        apply_reduction(st_, 0, (0, 0), "fixed", "top", alpha=Fraction(9))
+    assert (st_.agents, st_.items, st_.totals, st_.log) == ([0, 1, 2], [0, 1, 2], {0: 10, 1: 10, 2: 9}, [])
+
+
 def test_state_rows_are_integers_and_values_exact():
     # Mixed denominators, a zero, and equal values written differently: the
     # state keeps integer rows yet values every bundle exactly as the instance.
@@ -109,7 +119,7 @@ def test_state_rows_are_integers_and_values_exact():
     )
     # Starting at 1/d, the state values the sorted rows as they are.
     view = order_instance(inst)
-    scales = {a: Fraction(1, d) for a, d in enumerate(inst.denominators)}
+    scales = {a: (1, d) for a, d in enumerate(inst.denominators)}
     state = ReductionState.from_instance(view, [0, 1, 2], scales, renormalize=False)
     assert all(type(v) is int for a in state.agents for v in state.rows[a])
     bundles = [(), (0,), (1, 2), (0, 3, 5), tuple(range(inst.m))]

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 from naive_oracle import scale_agent, state_key
+from test_scale_digests import removal_heavy
 
+import mmsalloc.reduction as reduction_mod
 import mmsalloc.solver as solver_mod
 from mmsalloc.errors import InputError, InvariantViolation
 from mmsalloc.generate import gen_instance, make_spec
@@ -120,6 +122,43 @@ def test_poly34_never_calls_oracle(monkeypatch):
     # the counter sits where the solvers look the oracle up
     solve_existence(inst)
     assert len(calls) == inst.n
+
+
+@pytest.mark.parametrize(
+    "build, removals, rounds",
+    [
+        (lambda: removal_heavy(0), 37, 3),
+        (lambda: gen_instance(make_spec(60, 600, "uniform:1:1000", 0)), 0, 60),
+    ],
+    ids=["removal_40", "uniform_60x600"],
+)
+def test_a_solve_builds_one_fraction_per_bag_round(build, removals, rounds, monkeypatch):
+    # A host-independent cost guard: a solve with no update-loop iteration
+    # builds a Fraction only for each bag round's value, which leaves the
+    # solver in the trace, and none inside a removal.  With Fraction scales
+    # these solves built 820 and 120.
+    inst = build()
+    built, removed, removing = [], [], []
+    new, apply = Fraction.__new__, reduction_mod.apply_reduction
+
+    def counted(cls, *args, **kwargs):
+        built.append(bool(removing))
+        return new(cls, *args, **kwargs)
+
+    def applied(*args, **kwargs):
+        removed.append(args[1])
+        removing.append(args[1])
+        try:
+            return apply(*args, **kwargs)
+        finally:
+            removing.pop()
+
+    monkeypatch.setattr(reduction_mod, "apply_reduction", applied)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    _, stats = solve_poly34(inst)
+    monkeypatch.undo()
+    assert (stats.update_loop_iterations, len(removed), stats.bag_rounds) == (0, removals, rounds)
+    assert built == [False] * rounds
 
 
 def test_poly34_deterministic():
