@@ -18,14 +18,16 @@ filling can be trusted.  The state's memo keeps each layout and, per agent,
 the verdict with the stamp of the scale it was judged at, so a scan after a
 rescale with no removal profiles only that agent.  A clone profiles afresh;
 the update loop's snapshot gets the live memo back from ``undo_tentative``.
-A fill keeps running raw sums against each agent's least accepted raw sum.
+A fill keeps the waiting agents' raw sums as one list, adds each filler's
+column to it in one pass, and stops at the first sum at its agent's cut-off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from itertools import compress, count, repeat, tee
+from operator import add, ge, itemgetter
 from typing import Iterator
 
 from .errors import InvariantViolation
@@ -133,31 +135,32 @@ def fill_bags(state: ReductionState, alpha: Fraction) -> BagFillResult:
     expected outcome.
     """
     bags, fillers = bag_layout(state)
-    # Scales stay put while the bags fill: agent a accepts raw r when r >= least[a].
-    terms = {a: state.cross_terms(a, alpha) for a in state.agents}
-    least = {a: -(-rhs // lhs) for a, (lhs, rhs) in terms.items()}
+    # Waiting agents by ascending id, their rows and least accepted raw sums.
+    agents = list(state.agents)
+    rows = [state.rows[a] for a in agents]
+    least = [-(-rhs // lhs) for lhs, rhs in map(state.cross_terms, agents, repeat(alpha))]
 
     assignments, trace = [], []
     next_filler = 0
     for rnd, bag in enumerate(bags):
-        first_filler, raw = next_filler, {}
-        # Each waiting agent's raw sum of the bundle: summed as the bare bag is
-        # offered round, then, once nobody takes it, topped up per filler.
-        takers = (
-            a for a, t in least.items()
-            if raw.setdefault(a, sum(map(state.rows[a].__getitem__, bag))) >= t
-        )
-        while (winner := next(takers, None)) is None:
+        first_filler = next_filler
+        # The bare bag is summed column by column as the scan goes, so the scan
+        # stops at the first taker; base keeps what it summed, for a first filler.
+        sums = map(itemgetter(bag[0]), rows) if bag else repeat(0, len(rows))
+        for j in bag[1:]:
+            sums = map(add, sums, map(itemgetter(j), rows))
+        raw, base = tee(sums)
+        while (pos := next(compress(count(), map(ge, raw, least)), None)) is None:
             if next_filler >= len(fillers):
                 raise InvariantViolation(
                     f"round {rnd}: no filler left and no agent accepts "
                     f"{[*bag, *fillers[first_filler:next_filler]]}"
                 )
-            j = fillers[next_filler]
-            raw = {a: r + state.rows[a][j] for a, r in raw.items()}
-            takers = (a for a, t in least.items() if raw[a] >= t)
+            # Nobody takes it: one pass adds the next filler to every waiting agent's sum.
+            raw = base = [*map(add, base, map(itemgetter(fillers[next_filler]), rows))]
             next_filler += 1
-        del least[winner]
+        winner = agents.pop(pos)
+        del rows[pos], least[pos]
         final = tuple(sorted((*bag, *fillers[first_filler:next_filler])))
         assignments.append((winner, final))
         trace.append(

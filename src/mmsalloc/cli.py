@@ -222,10 +222,12 @@ def _cmd_bench(args) -> int:
         writer.writerow(BENCH_COLUMNS.split(","))
         for trial, spec in enumerate(specs):
             inst = gen_instance(spec)
+            # One set of exact shares certifies every algorithm's allocation.
+            shares = [int(exact_mms(row, inst.n).value) for row in inst.rows]
             for name in names:
                 alloc, stats = run_algorithm(name, inst)
                 alpha = target_alpha(name, inst.n)
-                report = check_alpha_mms(inst, alloc, alpha)
+                report = check_alpha_mms(inst, alloc, alpha, shares)
                 ratios = [r.ratio for r in report.per_agent if r.ratio is not None]
                 tallies[name].add(spec.seed, ratios, alpha, stats, report.overall)
                 min_ratio = str(min(ratios)) if ratios else "NA"

@@ -149,7 +149,8 @@ def order_instance(inst: Instance) -> OrderedView:
     int_rows = []
     for row in inst.rows:
         # A stable sort stays stable under reverse=True: ties keep ascending ids.
-        order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
+        # A list's __getitem__ is a cheaper key than a tuple's slot wrapper.
+        order = sorted(range(len(row)), key=list(row).__getitem__, reverse=True)
         rankings.append(tuple(order))
         # itemgetter gives a bare item for one index and refuses none: such rows are sorted.
         int_rows.append(itemgetter(*order)(row) if len(row) > 1 else tuple(row))

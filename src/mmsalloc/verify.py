@@ -1,7 +1,8 @@
 """Independent certification of allocations and solver state structure.
 
 Everything here recomputes maximin shares from the original instance with
-the exact oracle; nothing trusts solver bookkeeping.  Shares and bundle
+the exact oracle, or takes them from a caller that did (``bench``, for
+several algorithms); nothing trusts solver bookkeeping.  Shares and bundle
 sums are taken on the int rows ``Instance.rows``, and a row's denominator
 enters only the values a report prints.  These checks are meant for
 desk-scale instances (the oracle is exponential in the item count and stops
@@ -54,25 +55,25 @@ class VerifyReport:
         }
 
 
-def check_alpha_mms(inst: Instance, alloc: Allocation, alpha: Fraction) -> VerifyReport:
+def check_alpha_mms(
+    inst: Instance, alloc: Allocation, alpha: Fraction, shares: list[int] | None = None
+) -> VerifyReport:
     """Certify that every agent's bundle is worth at least alpha times her
-    exact maximin share.  The bundles must partition the items."""
+    exact maximin share.  The bundles must partition the items.  ``shares``
+    are the exact shares of ``inst.rows`` at k = n, in row units, so that
+    several allocations of one instance share them; None computes them."""
     if len(alloc.bundles) != inst.n:
         raise InputError(
             f"allocation has {len(alloc.bundles)} bundles for {inst.n} agents"
         )
-    seen: set[int] = set()
-    count = 0
-    for bundle in alloc.bundles:
-        for j in bundle:
-            seen.add(j)
-            count += 1
-    if count != inst.m or seen != set(range(inst.m)):
+    items = [j for bundle in alloc.bundles for j in bundle]
+    if len(items) != inst.m or set(items) != set(range(inst.m)):
         raise InputError("bundles do not partition the item set")
 
     rows = []
-    for i, (row, d) in enumerate(zip(inst.rows, inst.denominators)):
-        mms = int(exact_mms(row, inst.n).value)
+    if shares is None:
+        shares = [int(exact_mms(row, inst.n).value) for row in inst.rows]
+    for i, (row, d, mms) in enumerate(zip(inst.rows, inst.denominators, shares)):
         got = sum(row[j] for j in alloc.bundles[i])
         ratio = None if mms == 0 else Fraction(got, mms)
         ok = ratio is None or ratio >= alpha

@@ -9,10 +9,12 @@ import pytest
 
 from test_acceptance import sweep_params
 
+import mmsalloc.verify as verify_mod
 from mmsalloc import cli
 from mmsalloc.errors import InvariantViolation
 from mmsalloc.jsonio import dump_json, instance_to_json, load_instance
 from mmsalloc.model import Allocation
+from mmsalloc.oracle import exact_mms
 from mmsalloc.solver import SolveStats
 
 
@@ -419,6 +421,24 @@ def test_bench_range_sweep_certifies_every_guarantee(capsys):
     for name in ("poly34", "exist34", "exist34plus"):
         assert f"{name}:\n" in err
     assert tally_lines(err, "failing seeds") == ["none"] * 3
+
+
+def test_bench_computes_each_share_once_per_trial(capsys, monkeypatch):
+    # 100 trials cycle n through 2..5: 350 agents, each certified against
+    # one share however many algorithms run (1050 when each algorithm's
+    # check computed its own).  The solvers' own oracle calls are not counted.
+    calls = []
+
+    def counted(values, k):
+        calls.append(k)
+        return exact_mms(values, k)
+
+    monkeypatch.setattr(cli, "exact_mms", counted)
+    monkeypatch.setattr(verify_mod, "exact_mms", counted)
+    argv = ["bench", "--trials", "100", "--n", "2:5", "--m", "2:12", "--seed", "90000"]
+    assert run_cli([*argv, "--algorithms", "poly34,exist34,exist34plus"]) == 0
+    assert len(calls) == 350
+    assert tally_lines(capsys.readouterr().err, "failing seeds") == ["none"] * 3
 
 
 def test_bench_exits_1_when_a_guarantee_fails(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Core model: rationals, instances, ordering, lifting; the solvers' normalizers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -119,20 +120,34 @@ def test_order_instance_sorts_and_ranks():
     assert view.ranking[0] == (0, 2, 3, 1)
 
 
+# Small values that tie often, and values past 2**30 and 2**64, where CPython
+# leaves its one-digit int compare, cleared over denominators up to 12.
+SORT_VALUES = [0, 1, 1, 2, "1/2", "2/4", 2**30, 2**30 + 1, 2**64, f"{2**64 + 1}/3", f"{2**70}/4"]
+
+
+def tied_rows(seed, m, values, n=3):
+    rng = random.Random(seed)
+    return [[rng.choice(values) for _ in range(m)] for _ in range(n)]
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 6).flatmap(
+@given(st.one_of(st.integers(0, 6), st.integers(65, 300)).flatmap(
     lambda m: st.lists(
-        st.lists(st.sampled_from([0, 1, 1, 2, "1/2", "2/4"]), min_size=m, max_size=m),
+        st.lists(st.sampled_from(SORT_VALUES), min_size=m, max_size=m),
         min_size=1,
-        max_size=4,
+        max_size=4 if m < 64 else 2,
     )
 ))
 @example([[]])
 @example([[7], [0]])
 @example([[2, 2], [1, 3], [0, 0]])
+@example(tied_rows(0, 65, SORT_VALUES))
+@example(tied_rows(1, 300, SORT_VALUES))
+@example(tied_rows(2, 300, [0, 1, 2]))
 def test_order_instance_matches_keyed_sort_reference(rows):
     # Tie-heavy rows of every width from 0 up: both the rankings and the
     # sorted int rows are those of a keyed sort on the Fraction values.
+    # Rows past 64 entries run timsort's merges, not only binary insertion.
     inst = make_instance(rows)
     assert order_instance(inst) == order_instance_reference(inst)
 

@@ -8,6 +8,9 @@ The cases cover uniform rows with mixed denominators at 60x600, rows where
 the fixed phase removes nearly every agent (n = 40), and near-threshold
 rows where the update loop (undo, rescale, rerun) fires (n = 25 and 50).
 Each solve also counts its bag layouts, a check that no host speed moves.
+The states these solves hand to ``fill_bags`` are also filled by the plain
+reference of ``tests/naive_oracle.py``, at the solver's alpha and at one
+where the fillers run dry.
 """
 
 import hashlib
@@ -16,9 +19,12 @@ from fractions import Fraction
 
 import pytest
 
+from naive_oracle import fill_bags_reference
+
 import mmsalloc.bags as bags_mod
 import mmsalloc.solver as solver_mod
-from mmsalloc.bags import bag_layout
+from mmsalloc.bags import bag_layout, fill_bags
+from mmsalloc.errors import InvariantViolation
 from mmsalloc.jsonio import allocation_to_json, dump_json
 from mmsalloc.model import make_instance
 from mmsalloc.solver import solve_poly34
@@ -109,3 +115,38 @@ def test_large_envelope_digest(name, monkeypatch):
     assert stats.update_loop_iterations == iterations
     assert hashlib.sha256(envelope.encode()).hexdigest() == expected
     assert len(layouts) <= 2 * iterations + 2
+
+
+def fill_input(name, monkeypatch):
+    """The state and alpha the solve of case ``name`` hands to ``fill_bags``."""
+    seen = []
+
+    def capture(state, alpha):
+        seen.append((state.clone(), alpha))
+        return fill_bags(state, alpha)
+
+    monkeypatch.setattr(solver_mod, "fill_bags", capture)
+    solve_poly34(CASES[name][0]())
+    (got,) = seen
+    return got
+
+
+@pytest.mark.parametrize("name, waiting", [("uniform_60x600", 60), ("removal_40", 4), ("near_50", 50)])
+def test_fill_bags_matches_reference_at_scale(name, waiting, monkeypatch):
+    # Up to 60 waiting agents, where test_bags' hypothesis cases stop at 5,
+    # so a winner popped from the wrong place in the waiting lists shows.
+    state, alpha = fill_input(name, monkeypatch)
+    assert len(state.agents) == waiting
+    assert fill_bags(state, alpha) == fill_bags_reference(state, alpha)
+
+
+def test_fill_bags_runs_dry_as_the_reference_does(monkeypatch):
+    # At alpha 3/2 the uniform state's fillers run dry in round 30, with 30
+    # agents still waiting; both fills fail with the same bundle listed.
+    state, _ = fill_input("uniform_60x600", monkeypatch)
+    messages = []
+    for fill in (fill_bags, fill_bags_reference):
+        with pytest.raises(InvariantViolation, match="^round 30: no filler left") as exc:
+            fill(state, Fraction(3, 2))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import mmsalloc.verify as verify_mod
 from mmsalloc.errors import InputError
 from mmsalloc.model import Allocation, make_instance, order_instance
 from mmsalloc.reduction import ReductionState
@@ -28,6 +29,18 @@ def test_check_alpha_mms_single_agent():
     assert report.overall is True
     assert report.per_agent[0].ratio == 1
     assert report.per_agent[0].mms == 9
+
+
+def test_check_alpha_mms_reuses_given_shares(monkeypatch):
+    # Shares passed in are the ones certified against; the oracle is not asked.
+    inst = make_instance([[4, 3, 2, 1], ["1/2", "1/2", 1, 1]])
+    alloc = Allocation(bundles=((0, 3), (1, 2)))
+    expected = check_alpha_mms(inst, alloc, Fraction(3, 4))
+    assert [row.mms for row in expected.per_agent] == [5, Fraction(3, 2)]
+    monkeypatch.setattr(verify_mod, "exact_mms", None)
+    assert check_alpha_mms(inst, alloc, Fraction(3, 4), [5, 3]) == expected
+    report = check_alpha_mms(inst, alloc, Fraction(3, 4), [6, 3])
+    assert report.per_agent[0].ratio == Fraction(5, 6)
 
 
 def test_check_alpha_mms_identical_pair():
