@@ -14,10 +14,10 @@ entries, as two columns, and takes the fillers' worth from her row total.
 A profile where high bags outnumber low bags while the spare value falls
 short of ``SPARE_PER_LOW_BAG`` per low bag is the signal that the agent's
 working share bound is overestimated and must be rescaled before bag
-filling can be trusted.  The state's memo keeps each layout and, per agent,
-the verdict with the stamp of the scale it was judged at, so a scan after a
-rescale with no removal profiles only that agent.  A clone profiles afresh;
-the update loop's snapshot gets the live memo back from ``undo_tentative``.
+filling can be trusted.  The state's memo, which lives for one layout,
+keeps each agent's verdict with the stamp of the scale it was judged at, so
+a scan after a rescale with no removal profiles only that agent.  A clone
+profiles afresh.
 A fill keeps the waiting agents' raw sums as one list, adds each filler's
 column to it in one pass, and stops at the first sum at its agent's cut-off.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat, tee
-from operator import add, ge, itemgetter
+from operator import add, ge, getitem, gt, itemgetter, lt
 from typing import Iterator
 
 from .errors import InvariantViolation
@@ -40,26 +40,19 @@ HIGH_BAG = Fraction(1)
 # bag's LOW_BAG, plus 1/8 it may absorb from elsewhere in the accounting.
 SPARE_PER_LOW_BAG = Fraction(7, 8)
 
-# The bags, then the fillers: built once per state and shared by its profiles.
-Layout = tuple[tuple[tuple[int, ...], ...], list[int]]
 
-
-def bag_layout(state: ReductionState) -> Layout:
+def bag_layout(state: ReductionState) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """The bags and the fillers for the state's remaining agents and items.
 
     With n agents, bag k (counting from 0) pairs ``items[k]`` with
     ``items[2n-1-k]``, dropping an index past the last item, so a bag may
     hold one item or none.  The fillers are the items from index 2n on, in
-    descending value order.  Built once per layout version: do not mutate.
+    descending value order.  A profile reads the same pairs straight from
+    ``items``, so only a fill builds this.
     """
-    entry = state.memo.get(state.version)
-    if entry is None:
-        n = len(state.agents)
-        items = state.items
-        bags = tuple(tuple(items[p] for p in (k, 2 * n - 1 - k) if p < len(items)) for k in range(n))
-        # The layout, and agent -> (scale stamp, needs_rescale) for its scans.
-        entry = state.memo[state.version] = ((bags, items[2 * n:]), {})
-    return entry[0]
+    n, items = len(state.agents), state.items
+    bags = tuple(tuple(items[p] for p in (k, 2 * n - 1 - k) if p < len(items)) for k in range(n))
+    return bags, items[2 * n:]
 
 
 @dataclass(frozen=True)
@@ -80,18 +73,18 @@ class AgentProfile:
     needs_rescale: bool
 
 
-def profile_agent(state: ReductionState, agent: int, layout: Layout) -> AgentProfile:
+def profile_agent(state: ReductionState, agent: int) -> AgentProfile:
     # Bag k pairs items[k] with items[2n-1-k]: the head column (0 past the last
     # item) plus the reversed tail column, aligned to the end.  No filler is read.
-    n, items, row = len(layout[0]), state.items, state.rows[agent]
-    raws = [*map(row.__getitem__, items[:n]), *[0] * (n - len(items))]
+    n, items, row = len(state.agents), state.items, state.rows[agent]
+    raws = [*map(getitem, repeat(row), items[:n]), *[0] * (n - len(items))]
     tail = items[n:2 * n][::-1]
-    raws[n - len(tail):] = map(add, raws[n - len(tail):], map(row.__getitem__, tail))
+    raws[n - len(tail):] = map(add, raws[n - len(tail):], map(getitem, repeat(row), tail))
     low_lhs, low_rhs = state.cross_terms(agent, LOW_BAG)
     high_lhs, high_rhs = state.cross_terms(agent, HIGH_BAG)
     # For lhs > 0: r * lhs < rhs iff r < ceil(rhs / lhs); r * lhs > rhs iff r > rhs // lhs.
-    low = [*filter((-(-low_rhs // low_lhs)).__gt__, raws)]
-    high_count = sum(map((high_rhs // high_lhs).__lt__, raws))
+    low = [*compress(raws, map(lt, raws, repeat(-(-low_rhs // low_lhs))))]
+    high_count = sum(map(gt, raws, repeat(high_rhs // high_lhs)))
     # The fillers plus the low bags: her total less the bags that are not low.
     spare = state.totals[agent] - sum(raws) + sum(low)
     lhs, rhs = state.cross_terms(agent, SPARE_PER_LOW_BAG)
@@ -102,16 +95,16 @@ def profile_agent(state: ReductionState, agent: int, layout: Layout) -> AgentPro
 def agents_needing_rescale(state: ReductionState) -> Iterator[int]:
     """Agents whose profile demands an upper-bound rescale, ascending by id.
 
-    Lazy: each agent is judged, on the one layout, only when the iterator
-    reaches her, so ``next(agents_needing_rescale(state), None)`` stops there.
+    Lazy: each agent is judged only when the iterator reaches her, so
+    ``next(agents_needing_rescale(state), None)`` stops there.
     """
-    layout = bag_layout(state)
-    verdicts = state.memo[state.version][1]
+    # agent -> (scale stamp, needs_rescale), for this layout's scans.
+    verdicts = state.memo.setdefault("verdicts", {})
     for a in state.agents:
         # Each write of a scale makes a new stamp: identity is exact, hashes nothing.
         seen, stamp = verdicts.get(a), state.stamp(a)
         if seen is None or seen[0] is not stamp:
-            seen = verdicts[a] = (stamp, profile_agent(state, a, layout).needs_rescale)
+            seen = verdicts[a] = (stamp, profile_agent(state, a).needs_rescale)
         if seen[1]:
             yield a
 

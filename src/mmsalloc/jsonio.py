@@ -31,7 +31,8 @@ def instance_to_json(inst: Instance) -> dict:
         "agents": inst.n,
         "items": inst.m,
         "valuations": [
-            [rational_to_json(v) for v in row] for row in inst.values
+            [rational_to_json(Fraction(v, d)) for v in row]
+            for row, d in zip(inst.rows, inst.denominators)
         ],
     }
 

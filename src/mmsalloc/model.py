@@ -83,7 +83,8 @@ class Instance:
 
     Agent i values item j at ``Fraction(rows[i][j], denominators[i])``, her
     row as ``cleared_row`` returns it.  ``values`` derives the ``Fraction``
-    matrix on first read, for callers that want the rationals.
+    matrix on first read, for callers that want the rationals; nothing in
+    the package reads it.
     """
 
     rows: tuple[tuple[int, ...], ...]

@@ -25,18 +25,19 @@ module, and she values raw ``r`` at ``num * r / den``: a threshold test
 (``values_at_least``) is an integer sum and cross-multiplication, a rescale
 multiplies the pair and reduces it once, and a renormalization stores the
 agent count over her raw total, unreduced.  That total is summed once when
-the state is built and then only reduced by each removed bundle.  Whoever
-may roll back the tentative phase clones the state before it and hands that
-snapshot to ``undo_tentative``, which gives it the state's memo.  The state
-reports each removal, before making it, through one optional hook that
-receives the event name, its JSON-ready fields and the state itself; it
-copies nothing, so whoever listens decides what to keep.
+the state is built and then only reduced by each removed bundle.  Its
+memo is scratch for one layout, and each removal starts a new one; so a
+snapshot taken before the tentative phase may share it, and keeps only what
+was found before the first removal.  Whoever may roll that phase back hands
+the snapshot to ``undo_tentative``.  The state reports each removal, before
+making it, through one optional hook that receives the event name, its
+JSON-ready fields and the state itself; it copies nothing, so whoever
+listens decides what to keep.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -89,10 +90,9 @@ class ReductionState:
     state as it still is; it must not touch the state.  Clones start
     without one.
 
-    ``memo`` is scratch keyed on the layout ``version``.  A clone starts
-    with an empty one, so nothing done to a copy reaches its parent; it
-    shares only the counter from which each removal draws a fresh version,
-    so a rerun from a snapshot never meets a version of the run it replaced.
+    ``memo`` is scratch for the current agents and items: each removal
+    rebinds it to a new dict, so it never outlives its layout.  A clone
+    starts with an empty one, so nothing done to a copy reaches its parent.
     """
 
     def __init__(
@@ -114,8 +114,6 @@ class ReductionState:
         self.log: list[AssignmentRecord] = []
         self.observer: Callable[[str, dict, ReductionState], None] | None = None
         self.memo: dict = {}
-        self._versions = itertools.count(1)
-        self.version = 0
 
     # -- construction and bookkeeping -------------------------------------
 
@@ -218,7 +216,7 @@ def apply_reduction(
         state.totals[a] -= sum(map(state.rows[a].__getitem__, bundle))
     del state.totals[agent]
     state.log.append(record)
-    state.version = next(state._versions)
+    state.memo = {}
 
     for a in [a for a in state.agents if state.totals[a] == 0]:
         zero = AssignmentRecord(a, (), kind, ZERO_SHAPE)
@@ -243,7 +241,7 @@ def _greedy_loop(
     # these bundles at this alpha tests only the agents rescaled since then.
     scale = state.scale
     while state.agents:
-        seen = state.memo.setdefault((state.version, shapes), {})
+        seen = state.memo.setdefault(shapes, {})
         fresh = [a for a in state.agents if seen.get(a) != (scale[a], alpha)] if seen else state.agents
         for shape, bundle in zip(shapes, candidate_bundles(state)):
             if not bundle:
@@ -292,7 +290,8 @@ def undo_tentative(
 ) -> tuple[ReductionState, set[int]]:
     """Roll ``state`` back to ``snapshot``, its clone from before the tentative
     phase.  Returns ``(snapshot, held)``: the snapshot, now with the state's
-    hook and memo (callers rebind), and the items the tentative phase removed.
+    hook (callers rebind), and the items the tentative phase removed.  The
+    snapshot keeps its own memo, which holds only its own layout's entries.
     """
-    snapshot.observer, snapshot.memo = state.observer, state.memo
+    snapshot.observer = state.observer
     return snapshot, set(snapshot.items) - set(state.items)

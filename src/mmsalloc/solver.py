@@ -35,7 +35,6 @@ from typing import Callable
 from .bags import (
     SPARE_PER_LOW_BAG,
     agents_needing_rescale,
-    bag_layout,
     fill_bags,
     profile_agent,
 )
@@ -132,13 +131,13 @@ def rescale_candidates(
         shape: four_thirds * state.bundle_value(agent, bundle)
         for shape, bundle in zip(FIXED_SHAPES, candidate_bundles(state))
     }
-    bags, fillers = layout = bag_layout(state)
-    # The bags hold the first 2n items, and items run from best to worst.
-    bag_item = next((j for j in state.items[:2 * len(bags)] if j not in held_out), None)
-    filler_item = next((j for j in fillers if j not in held_out), None)
+    # The bags hold the first 2n items, the fillers the rest, best first.
+    n = len(state.agents)
+    bag_item = next((j for j in state.items[:2 * n] if j not in held_out), None)
+    filler_item = next((j for j in state.items[2 * n:] if j not in held_out), None)
     if bag_item is not None and filler_item is not None:
         cands["open_pair"] = four_thirds * state.bundle_value(agent, (bag_item, filler_item))
-    prof = profile_agent(state, agent, layout)
+    prof = profile_agent(state, agent)
     if prof.low_bags > 0:
         lhs, rhs = state.cross_terms(agent, SPARE_PER_LOW_BAG)
         cands["bag_deficit"] = Fraction(prof.spare * lhs, rhs * prof.low_bags)
@@ -186,7 +185,10 @@ def _reduce_with_updates(
     while True:
         reduce_fixed(state)
         emit("fixed_phase_done", state=state)
+        # The snapshot shares the memo: the state's first removal rebinds its
+        # own, so the snapshot keeps only what was found at its layout.
         snapshot = state.clone()
+        snapshot.memo = state.memo
         reduce_tentative(state)
         target = next(agents_needing_rescale(state), None)
         if target is None:

@@ -3,7 +3,8 @@
 ``naive_mms`` enumerates every one of the k**m ways to drop m items into
 k bundles and takes the best minimum bundle sum.  Exponential and proudly
 so: it exists only to cross-check the real oracle on tiny inputs.  The
-other helpers check a witness partition, rescale one agent's row, sort
+other helpers read an instance's values as ``Fraction`` rows, check a
+witness partition, rescale one agent's row, sort
 rows by a keyed sort, normalize rows, profile an agent's bags and fill the
 bags in plain ``Fraction`` arithmetic or one agent test at a time, and take
 a copy of a reduction state's contents to compare against later.
@@ -15,6 +16,11 @@ from itertools import product
 from mmsalloc.bags import AgentProfile, BagFillResult, bag_layout
 from mmsalloc.errors import InputError, InvariantViolation
 from mmsalloc.model import Instance, OrderedView, make_instance
+
+
+def fraction_rows(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
+    """Agent i's value for item j as ``Fraction(rows[i][j], denominators[i])``."""
+    return tuple(tuple(Fraction(v, d) for v in row) for row, d in zip(inst.rows, inst.denominators))
 
 
 def naive_mms(values, k: int) -> Fraction:
@@ -51,7 +57,7 @@ def partition_min(values, partition) -> Fraction:
 
 def scale_agent(inst: Instance, agent: int, factor: Fraction) -> Instance:
     """Multiply one agent's whole row by a positive rational."""
-    rows = [list(row) for row in inst.values]
+    rows = [list(row) for row in fraction_rows(inst)]
     rows[agent] = [v * factor for v in rows[agent]]
     return make_instance(rows)
 
@@ -60,7 +66,7 @@ def order_instance_reference(inst: Instance) -> OrderedView:
     """``model.order_instance`` as a keyed sort on the ``Fraction`` values:
     descending value, ties by ascending item id, each row read item by item."""
     rankings = tuple(
-        tuple(sorted(range(len(row)), key=lambda j: (-row[j], j))) for row in inst.values
+        tuple(sorted(range(len(row)), key=lambda j: (-row[j], j))) for row in fraction_rows(inst)
     )
     int_rows = tuple(tuple(inst.rows[i][j] for j in order) for i, order in enumerate(rankings))
     return OrderedView(rankings, int_rows)
@@ -70,10 +76,8 @@ def normalize_average_reference(inst: Instance, agents) -> dict[int, list[Fracti
     """``solver.normalize_average`` in plain ``Fraction`` arithmetic: each of
     ``agents``' entries times the agent count over her (nonzero) row total,
     the reference its integer rows must match."""
-    return {
-        a: [v * Fraction(len(agents)) / sum(inst.values[a]) for v in inst.values[a]]
-        for a in agents
-    }
+    rows = fraction_rows(inst)
+    return {a: [v * Fraction(len(agents)) / sum(rows[a]) for v in rows[a]] for a in agents}
 
 
 def profile_agent_reference(state, agent: int) -> tuple[AgentProfile, Fraction | None]:

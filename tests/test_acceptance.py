@@ -151,7 +151,6 @@ def near_sweep():
         data.layout_calls.append(0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bags_mod, "bag_layout", counted_layout)
-            mp.setattr(solver_mod, "bag_layout", counted_layout)
             _alloc, stats = solve_poly34(inst, observer=observer)
         data.instances.append(inst)
         data.stats.append(stats)
@@ -265,16 +264,10 @@ def test_criterion_4_corollary_bounds(sweep, near_sweep):
     )
 
 
-def test_near_threshold_solves_build_one_layout_per_scan(near_sweep):
-    # Each loop pass scans once and each rescale bounds once, plus the fill:
-    # at most 2 * iterations + 2 layouts per solve, whatever the host speed.
-    over = [
-        (idx, calls, stats.update_loop_iterations)
-        for idx, (calls, stats) in enumerate(zip(near_sweep.layout_calls, near_sweep.stats))
-        if calls > 2 * stats.update_loop_iterations + 2
-    ]
-    assert len(near_sweep.layout_calls) == NEAR_COUNT
-    assert over == [], f"(instance, bag_layout calls, iterations) over budget: {over}"
+def test_near_threshold_solves_build_one_layout_per_solve(near_sweep):
+    # Scans and rescale bounds read the bags straight from the items, so each
+    # solve builds one layout, for its fill, whatever the host speed.
+    assert near_sweep.layout_calls == [1] * NEAR_COUNT
 
 
 def test_criterion_5_ordering_lift():

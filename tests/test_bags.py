@@ -78,7 +78,7 @@ def test_profile_classify_example():
     # 6 big items and 28 single-percent fillers; row already sums to 3.00
     row = [73, 68, 37, 36, 30, 28] + [1] * 28
     st = make_state([row, row, row])
-    p = profile_agent(st, 0, bag_layout(st))
+    p = profile_agent(st, 0)
     assert p.low_bags == 1          # bag {37, 36} = 0.73
     assert p.high_bags == 1         # bag {73, 28} = 1.01
     # raw 28 of fillers plus the low bag's 73, at scale 1/100
@@ -91,7 +91,7 @@ def test_profile_classify_example():
 def test_profile_needs_rescale():
     row = [740, 740, 375, 373, 370, 370, 8, 8, 8, 8]
     st = make_state([row, row, row])
-    p = profile_agent(st, 0, bag_layout(st))
+    p = profile_agent(st, 0)
     assert (p.low_bags, p.high_bags) == (1, 2)
     # raw 32 of fillers plus the low bag's 748, at scale 1/1000: 0.78 < 7/8
     assert p.spare == 780
@@ -105,13 +105,13 @@ def test_profile_shortfall_is_strict():
     # fillers plus the low bag are worth exactly 7/8, which is no shortfall
     row = [560, 560, 290, 290, 290, 290, 60, 60]
     st = make_state([row] * 3)
-    p = profile_agent(st, 0, bag_layout(st))
+    p = profile_agent(st, 0)
     assert (p.low_bags, p.high_bags, p.spare) == (1, 2, 700)
     assert p.needs_rescale is False
     assert rescale_candidates(st, 0, set())["bag_deficit"] == 1
     # one raw unit less of filler: 3 * 699 / 2399 < 7/8
     st = make_state([row[:-1] + [59]] * 3)
-    p = profile_agent(st, 0, bag_layout(st))
+    p = profile_agent(st, 0)
     assert (p.low_bags, p.high_bags, p.spare) == (1, 2, 699)
     assert p.needs_rescale is True
     assert rescale_candidates(st, 0, set())["bag_deficit"] == Fraction(16776, 16793)
@@ -149,9 +149,9 @@ def test_rescale_scan_stops_at_first_hit(monkeypatch):
     st = make_state([row, row, row])
     profiled = []
 
-    def counted(state, agent, layout):
+    def counted(state, agent):
         profiled.append(agent)
-        return profile_agent(state, agent, layout)
+        return profile_agent(state, agent)
 
     monkeypatch.setattr(bags_mod, "profile_agent", counted)
     assert next(agents_needing_rescale(st)) == 0
@@ -164,45 +164,47 @@ def test_rescale_scan_stops_at_first_hit(monkeypatch):
     st.scale_row(1, Fraction(1, 2))
     assert tuple(agents_needing_rescale(st)) == (0, 2)
     assert profiled == [1]
-    # a clone profiles afresh, while the snapshot that undo_tentative hands
-    # back takes the live state's memo and reuses what its scans saw
+    # a clone profiles afresh; a snapshot that shares the memo, as the update
+    # loop makes it, profiles nobody, while a plain clone handed to
+    # undo_tentative profiles everyone
     profiled.clear()
     assert tuple(agents_needing_rescale(st.clone())) == (0, 2)
     assert profiled == [0, 1, 2]
     profiled.clear()
-    snapshot, held = undo_tentative(st, st.clone())
+    shared = st.clone()
+    shared.memo = st.memo
+    snapshot, held = undo_tentative(st, shared)
     assert held == set()
     assert tuple(agents_needing_rescale(snapshot)) == (0, 2)
     assert profiled == []
+    snapshot, _ = undo_tentative(st, st.clone())
+    assert tuple(agents_needing_rescale(snapshot)) == (0, 2)
+    assert profiled == [0, 1, 2]
 
 
-def test_rescale_scan_builds_the_layout_once(monkeypatch):
-    # one layout per set of agents and items: scans and rescales reuse it, a
-    # clone builds its own equal one, the snapshot that undo_tentative hands
-    # back reuses the live state's, and only a removal brings a new one
+def test_rescale_scan_builds_no_layout(monkeypatch):
+    # a scan reads the bags straight from the items, and its verdicts live
+    # for one layout: a removal leaves the state a new memo with none
     row = [740, 740, 375, 373, 370, 370, 8, 8, 8, 8]
     st = make_state([row, row, row])
     layouts = []
 
     def counted(state):
-        layouts.append(bag_layout(state))
-        return layouts[-1]
+        layouts.append(state)
+        return bag_layout(state)
 
     monkeypatch.setattr(bags_mod, "bag_layout", counted)
-    assert next(agents_needing_rescale(st)) == 0
     assert tuple(agents_needing_rescale(st)) == (0, 1, 2)
     st.scale_row(0, Fraction(1, 2))
-    assert tuple(agents_needing_rescale(st.clone())) == (1, 2)
-    snapshot, _ = undo_tentative(st, st.clone())
-    assert tuple(agents_needing_rescale(snapshot)) == (1, 2)
-    assert len(layouts) == 4
-    assert layouts[1] is layouts[0] and layouts[3] is layouts[0]
-    assert layouts[2] is not layouts[0] and layouts[2] == layouts[0]
+    assert tuple(agents_needing_rescale(st)) == (1, 2)
+    assert layouts == []
+    memo = st.memo
+    assert set(memo["verdicts"]) == {0, 1, 2}
     apply_reduction(st, 2, (0,), "fixed", "top", alpha=Fraction(0))
+    assert st.memo is not memo and "verdicts" not in st.memo
     assert tuple(agents_needing_rescale(st)) == ()
-    assert layouts[-1] is not layouts[0]
-    assert layouts[-1] == (((1, 4), (2, 3)), [5, 6, 7, 8, 9])
     assert tuple(agents_needing_rescale(make_state([[1, 1, 1, 1]] * 2))) == ()
+    assert layouts == []
 
 
 def test_fill_bags_single_agent_takes_fillers():
@@ -295,7 +297,7 @@ def test_integer_thresholds_match_fraction_reference(case):
                 value = state.bundle_value(a, bundle)
                 for alpha in alphas:
                     assert state.values_at_least(a, bundle, alpha) == (value >= alpha)
-            got = profile_agent(state, a, bag_layout(state))
+            got = profile_agent(state, a)
             want, bag_deficit = profile_agent_reference(state, a)
             assert asdict(got) == asdict(want)
             assert rescale_candidates(state, a, set()).get("bag_deficit") == bag_deficit
@@ -344,15 +346,14 @@ def test_profile_reads_only_the_bag_entries():
         state = ReductionState.from_instance(view, range(n), normalize_average(view, range(n)), True)
         assert CountingRow.reads == 0
         assert state.totals == {a: sum(rows[a]) for a in range(n)}
-        layout = bag_layout(state)
         for a in state.agents:
             CountingRow.reads = 0
-            got = profile_agent(state, a, layout)
+            got = profile_agent(state, a)
             reads.setdefault(fillers, set()).add(CountingRow.reads)
             assert asdict(got) == asdict(profile_agent_reference(state, a)[0])
         apply_reduction(state, 0, (0,), "fixed", "top", alpha=Fraction(0))
         CountingRow.reads = 0
-        profile_agent(state, 1, bag_layout(state))
+        profile_agent(state, 1)
         assert CountingRow.reads == 2 * (n - 1)
     assert reads == {0: {2 * n}, 10 * n: {2 * n}}
     # A state of fewer items than the rows hold sums only its own items.

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from naive_oracle import normalize_average_reference, order_instance_reference, scale_agent
+from naive_oracle import (
+    fraction_rows,
+    normalize_average_reference,
+    order_instance_reference,
+    scale_agent,
+)
 
 from mmsalloc.errors import InputError
 from mmsalloc.model import (
@@ -172,7 +177,7 @@ def test_order_preserves_value_multisets(rows):
     inst = make_instance(rows)
     view = order_instance(inst)
     for i in range(inst.n):
-        assert sorted(sorted_row(inst, view, i)) == sorted(inst.values[i])
+        assert sorted(sorted_row(inst, view, i)) == sorted(fraction_rows(inst)[i])
         # ranking is a permutation of the items
         assert sorted(view.ranking[i]) == list(range(inst.m))
 
@@ -217,9 +222,9 @@ def test_integer_kernel_matches_fraction_reference_on_rational_rows(rows):
     # Each scale times its sorted int row is the reference's normalized row,
     # entry by entry, whether the reference normalizes sorted or original
     # rows; zero rows leave before normalization, as in the solver.
-    active = [i for i, row in enumerate(inst.values) if any(row)]
+    active = [i for i, row in enumerate(inst.rows) if any(row)]
     scales = normalize_average(view, active)
-    sorted_rows = [[row[j] for j in view.ranking[i]] for i, row in enumerate(inst.values)]
+    sorted_rows = [[row[j] for j in view.ranking[i]] for i, row in enumerate(fraction_rows(inst))]
     sorted_ref = normalize_average_reference(make_instance(sorted_rows), active)
     original_ref = normalize_average_reference(inst, active)
     for i in active:
@@ -309,7 +314,7 @@ def test_normalize_average_row_sums():
 def test_normalize_average_scale_invariant(row, p, q):
     # scaling one agent's row first changes nothing after normalization
     inst = make_instance([row, row])
-    if sum(inst.values[0]) == 0:
+    if not any(inst.rows[0]):
         return
     view = order_instance(inst)
     scaled_view = order_instance(scale_agent(inst, 0, Fraction(p, q)))

@@ -28,7 +28,7 @@ from mmsalloc.verify import check_valid_reduction
 def state_from_rows(rows, renormalize=True):
     inst = make_instance(rows)
     view = order_instance(inst)
-    ids = [i for i in range(inst.n) if sum(inst.values[i]) > 0]
+    ids = [i for i in range(inst.n) if any(inst.rows[i])]
     return ReductionState.from_instance(
         view, ids, normalize_average(view, ids), renormalize=renormalize
     )
@@ -264,7 +264,7 @@ def test_fixed_reductions_are_valid_reductions(data):
         )
     )
     inst = make_instance(rows)
-    if any(sum(inst.values[i]) == 0 for i in range(n)):
+    if not all(map(any, inst.rows)):
         return
     snapshots = []
 

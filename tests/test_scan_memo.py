@@ -1,15 +1,17 @@
 """The update loop's memo: what it keeps never changes what the solver does.
 
-A state keeps a memo of bag layouts, profile verdicts and removal passes
-that found no taker, keyed on the layout version and each agent's scale.
-A clone starts with an empty one; only the update loop's snapshot gets the
-live memo back, from ``undo_tentative``.  Here every scan the update loop
-makes is checked against a fresh profile of every agent, on the loop
-family's pinned seeds and on near-threshold rows at n = 20 and 40; the
-profile count of the benchmark's near instance is pinned; a rerun from a
-snapshot, or another solve, must not see verdicts it did not make; an edited
-copy, an observer's or a plain clone, changes nothing its parent does; and
-a removal pass after a rescale tests only the rescaled agent.
+A state keeps a memo of profile verdicts and of removal passes that found
+no taker, each with the scale every agent was judged at.  The memo lives
+for one layout: each removal rebinds it to a new dict.  A clone starts with
+an empty one; the update loop gives its snapshot the live memo, which the
+live state leaves behind at its first tentative removal.  Here every scan
+the update loop makes is checked against a fresh profile of every agent, on
+the loop family's pinned seeds and on near-threshold rows at n = 20 and 40;
+the profile count of the benchmark's near instance is pinned; a rerun from
+a snapshot, or another solve, must not see verdicts it did not make; an
+edited copy, an observer's or a plain clone, changes nothing its parent
+does; a removal pass after a rescale tests only the rescaled agent; and so
+does the rerun's first fixed pass after an undone tentative removal.
 """
 
 import hashlib
@@ -31,8 +33,7 @@ from mmsalloc.solver import normalize_average, solve_poly34
 def fresh_first(state):
     # A new state on the same agents, items and scales starts with no memo.
     twin = ReductionState(state.agents, state.items, state.rows, state.scale, state.renormalize)
-    layout = bag_layout(twin)
-    return next((a for a in twin.agents if profile_agent(twin, a, layout).needs_rescale), None)
+    return next((a for a in twin.agents if profile_agent(twin, a).needs_rescale), None)
 
 
 def solve_checked(inst, monkeypatch):
@@ -70,9 +71,9 @@ def test_near_instance_profiles_each_agent_about_once(monkeypatch):
     # now a pass profiles only the rescaled agent, plus one per bound.
     calls = []
 
-    def counted(state, agent, layout):
+    def counted(state, agent):
         calls.append(agent)
-        return profile_agent(state, agent, layout)
+        return profile_agent(state, agent)
 
     monkeypatch.setattr(bags_mod, "profile_agent", counted)
     monkeypatch.setattr(solver_mod, "profile_agent", counted)
@@ -124,7 +125,8 @@ def test_a_clone_shares_no_scratch_with_its_parent():
 
 def test_rerun_from_a_snapshot_profiles_afresh(monkeypatch):
     # Without renormalization a removal keeps every scale object, so only the
-    # version tells the discarded run's layout and verdicts from the rerun's.
+    # memo, which each removal rebinds, keeps the discarded run's verdicts
+    # from the rerun.
     # Agent 3 leaving with the 1000 leaves every survivor needing a rescale;
     # leaving with a filler instead leaves all three bags high.
     view = order_instance(make_instance([[1000, 740, 740, 375, 373, 370, 370, 8, 8, 8, 8]] * 4))
@@ -135,12 +137,12 @@ def test_rerun_from_a_snapshot_profiles_afresh(monkeypatch):
     apply_reduction(state, 3, (0,), "tentative", "top", alpha=Fraction(0))
     assert tuple(agents_needing_rescale(state)) == (0, 1, 2)
     apply_reduction(snapshot, 3, (10,), "tentative", "top", alpha=Fraction(0))
-    assert snapshot.version != state.version
+    assert snapshot.memo is not state.memo
     calls = []
 
-    def counted(st, agent, layout):
+    def counted(st, agent):
         calls.append(agent)
-        return profile_agent(st, agent, layout)
+        return profile_agent(st, agent)
 
     monkeypatch.setattr(bags_mod, "profile_agent", counted)
     assert tuple(agents_needing_rescale(snapshot)) == ()
@@ -173,3 +175,41 @@ def test_removal_pass_retests_only_rescaled_agents(monkeypatch):
     fresh = ReductionState(st.agents, st.items, st.rows, st.scale, True)
     assert reduce_fixed(st).log == reduce_fixed(fresh).log
     assert [(r.agent, r.shape) for r in st.log][:1] == [(2, "top")]
+
+
+def test_rerun_after_an_undone_removal_tests_only_the_rescaled_agent(monkeypatch):
+    # The fixed phase finds no taker; then agent 0 takes the top_tail bundle
+    # and the tentative phase goes on to remove everyone.  A stand-in scan
+    # asks once to rescale agent 1.  The snapshot kept the memo from before
+    # the first tentative removal, the fixed phase's no-taker record included,
+    # so the rerun's first fixed pass tests agent 1 alone, and she takes the
+    # tail triple that her new bound puts at exactly 3/4.
+    near = [7000, 7000, 3700, 3700, 3700, 3700, 96] + [92] * 12
+    top_tail = [7400, 7400, 3700, 3700, 3600, 3600, 100] + [100] * 5 + [0] * 7
+    scans = []
+
+    def scan(state):
+        scans.append(state)
+        return iter([1] if len(scans) == 1 else [])
+
+    trail = []
+    real = ReductionState.values_at_least
+
+    def counted(self, agent, items, alpha):
+        trail.append(agent)
+        return real(self, agent, items, alpha)
+
+    def observer(event, record):
+        if event == "rescale":
+            trail.append(event)
+        elif event == "reduce":
+            trail.append((record["agent"], record["kind"], record["shape"]))
+
+    monkeypatch.setattr(solver_mod, "agents_needing_rescale", scan)
+    monkeypatch.setattr(ReductionState, "values_at_least", counted)
+    _, stats = solve_poly34(make_instance([top_tail, near, near]), observer=observer)
+    assert stats.update_loop_iterations == 1
+    cut = trail.index("rescale")
+    assert (0, "tentative", "top_tail") in trail[:cut]
+    # Three shapes tested, then apply_reduction's own check of her bundle.
+    assert trail[cut + 1:cut + 6] == [1, 1, 1, 1, (1, "fixed", "tail_triple")]
