@@ -37,7 +37,15 @@ def instance_to_json(inst: Instance) -> dict:
     }
 
 
-def instance_from_json(obj) -> Instance:
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed, or an integer past the digit limit
+        raise InputError(f"bad JSON: {exc}") from exc
+
+
+def load_instance(text: str) -> Instance:
+    obj = _parse_json(text)
     if not isinstance(obj, dict):
         raise InputError("instance document must be a JSON object")
     try:
@@ -60,17 +68,6 @@ def instance_from_json(obj) -> Instance:
     return inst
 
 
-def _parse_json(text: str):
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # malformed, or an integer past the digit limit
-        raise InputError(f"bad JSON: {exc}") from exc
-
-
-def load_instance(text: str) -> Instance:
-    return instance_from_json(_parse_json(text))
-
-
 def allocation_to_json(alloc: Allocation, stats: SolveStats) -> dict:
     """The ``solve`` envelope: an allocation and the stats of its solve."""
     return {
@@ -80,7 +77,8 @@ def allocation_to_json(alloc: Allocation, stats: SolveStats) -> dict:
     }
 
 
-def allocation_from_json(obj) -> Allocation:
+def load_allocation(text: str) -> Allocation:
+    obj = _parse_json(text)
     if not isinstance(obj, dict) or "bundles" not in obj:
         raise InputError("allocation document must be an object with 'bundles'")
     raw = obj["bundles"]
@@ -93,10 +91,6 @@ def allocation_from_json(obj) -> Allocation:
                 raise InputError(f"bad item id {j!r} in allocation")
         bundles.append(tuple(sorted(b)))
     return Allocation(bundles=tuple(bundles))
-
-
-def load_allocation(text: str) -> Allocation:
-    return allocation_from_json(_parse_json(text))
 
 
 def parse_alpha(text: str) -> Fraction:

@@ -5,7 +5,9 @@ sum achievable by any k-way partition.  The search assigns items in
 descending value order and prunes with three devices that never cut off an
 optimal branch:
 
-* an incumbent from a largest-first greedy pass, updated as we go;
+* an incumbent, updated at every better leaf.  The search tries the
+  lightest bundle first, so its first leaf is the largest-first greedy
+  assignment, and that is the first incumbent;
 * a water-filling completion bound: even if the remaining total could be
   split fractionally, the lightest bundles cannot all be raised above the
   fill level, so a branch whose level cannot beat the incumbent is dead;
@@ -44,19 +46,12 @@ def _fill_level(loads: list[int], budget: int) -> int:
     bundles until it runs out.  No completed partition can have a minimum
     above this."""
     ls = sorted(loads)
-    k = len(ls)
-    cur = ls[0]
-    for i in range(k):
-        width = i + 1
-        if i + 1 < k:
-            step = (ls[i + 1] - cur) * width
-            if budget < step:
-                return cur + budget // width
-            budget -= step
-            cur = ls[i + 1]
-        else:
-            return cur + budget // width
-    return cur  # unreachable for k >= 1
+    for width in range(1, len(ls)):
+        step = (ls[width] - ls[width - 1]) * width
+        if budget < step:
+            return ls[width - 1] + budget // width
+        budget -= step
+    return ls[-1] + budget // len(ls)
 
 
 def exact_mms(values: Sequence, k: int) -> MmsResult:
@@ -97,56 +92,45 @@ def exact_mms(values: Sequence, k: int) -> MmsResult:
     total = suffix[0]
     ceiling = total // k  # no partition's minimum can exceed the average
 
-    # Greedy incumbent: largest item onto the lightest bundle.
+    # The first leaf is the greedy one.  It gives each bundle one of the k
+    # largest items, so its minimum beats 0 and, bounding its ancestors'
+    # fill levels from below, no prune reaches it: it is the first incumbent.
+    best = 0
+    best_assign: list[int] = []
     loads = [0] * k
-    greedy = [0] * len(w)
-    for i, wt in enumerate(w):
-        b = min(range(k), key=lambda x: (loads[x], x))
-        loads[b] += wt
-        greedy[i] = b
-    best = min(loads)
-    best_assign = greedy[:]
+    assign = [0] * len(w)
 
-    if best < ceiling:
-        loads = [0] * k
-        assign = [-1] * len(w)
-
-        def search(idx: int) -> bool:
-            """Depth-first over bundle choices; returns True to stop early."""
-            nonlocal best, best_assign
-            if idx == len(w):
-                val = min(loads)
-                if val > best:
-                    best = val
-                    best_assign = assign[:]
-                    return best >= ceiling
-                return False
-            if _fill_level(loads, suffix[idx]) <= best:
-                return False
-            tried = set()
-            for b in sorted(range(k), key=lambda x: (loads[x], x)):
-                if loads[b] in tried:
-                    continue
-                tried.add(loads[b])
-                loads[b] += w[idx]
-                assign[idx] = b
-                if search(idx + 1):
-                    return True
-                loads[b] -= w[idx]
-            assign[idx] = -1
+    def search(idx: int) -> bool:
+        """Depth-first over bundle choices; returns True to stop early."""
+        nonlocal best, best_assign
+        if idx == len(w):
+            val = min(loads)
+            if val > best:
+                best = val
+                best_assign = assign[:]
+                return best >= ceiling
             return False
+        if _fill_level(loads, suffix[idx]) <= best:
+            return False
+        tried = set()
+        for b in sorted(range(k), key=lambda x: (loads[x], x)):
+            if loads[b] in tried:
+                continue
+            tried.add(loads[b])
+            loads[b] += w[idx]
+            assign[idx] = b
+            if search(idx + 1):
+                return True
+            loads[b] -= w[idx]
+        return False
 
-        search(0)
+    search(0)
 
     for i, j in enumerate(positive):
         bundles[best_assign[i]].append(j)
     # Zero items ride along on the lightest bundle; they change nothing.
-    if zeros:
-        final_loads = [0] * k
-        for i in range(len(w)):
-            final_loads[best_assign[i]] += w[i]
-        lightest = min(range(k), key=lambda x: (final_loads[x], x))
-        bundles[lightest].extend(zeros)
+    lightest = min(range(k), key=lambda b: (sum(weights[j] for j in bundles[b]), b))
+    bundles[lightest].extend(zeros)
 
     return MmsResult(Fraction(best, denom), _freeze(bundles))
 

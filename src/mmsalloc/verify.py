@@ -61,7 +61,8 @@ def check_alpha_mms(
     """Certify that every agent's bundle is worth at least alpha times her
     exact maximin share.  The bundles must partition the items.  ``shares``
     are the exact shares of ``inst.rows`` at k = n, in row units, so that
-    several allocations of one instance share them; None computes them."""
+    several allocations of one instance share them, one per agent; None
+    computes them."""
     if len(alloc.bundles) != inst.n:
         raise InputError(
             f"allocation has {len(alloc.bundles)} bundles for {inst.n} agents"
@@ -73,6 +74,8 @@ def check_alpha_mms(
     rows = []
     if shares is None:
         shares = [int(exact_mms(row, inst.n).value) for row in inst.rows]
+    elif len(shares) != inst.n:
+        raise InputError(f"{len(shares)} shares for {inst.n} agents")
     for i, (row, d, mms) in enumerate(zip(inst.rows, inst.denominators, shares)):
         got = sum(row[j] for j in alloc.bundles[i])
         ratio = None if mms == 0 else Fraction(got, mms)

@@ -1,5 +1,6 @@
 """Exact maximin-share oracle against frozen values and the naive enumerator."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsalloc.errors import InputError
-from mmsalloc.oracle import exact_mms
+from mmsalloc.oracle import _fill_level, exact_mms
 from naive_oracle import naive_mms, partition_min
 
 
@@ -118,3 +119,48 @@ def test_agreement_with_naive_property(row, k):
 )
 def test_average_always_dominates(row, k):
     assert exact_mms(row, k).value <= Fraction(sum(row), k)
+
+
+# One draw per row kind: small ints with zeros, heavy ties, rationals over
+# mixed denominators, large ints, mostly zeros, and ints past 2^64.
+GRID_KINDS = (
+    lambda rng: rng.randint(0, 9),
+    lambda rng: rng.choice((0, 1, 1, 2, 3, 3, 3)),
+    lambda rng: Fraction(rng.randint(0, 30), rng.choice((1, 2, 3, 4, 6, 9))),
+    lambda rng: rng.randint(0, 10**6),
+    lambda rng: rng.choice((0, 0, 0, rng.randint(1, 20))),
+    lambda rng: rng.randint(2**64, 2**64 + 2**20),
+)
+GRID_DIGEST = "00eeff013535a2f669f76bb90113b6e2a87f7a8d6ac7f9a0eba8fa4bbc845c3e"
+
+
+def test_grid_digest():
+    # 396 seeded rows, m 0-10 and every k in 1..m+1: forced-zero shares,
+    # greedy leaves at the average, and leaves the search improves on.
+    # The sha256 of every (value, partition) pins the witnesses, not only
+    # the shares.
+    rng = random.Random(25)
+    digest = hashlib.sha256()
+    for m in range(11):
+        for k in range(1, m + 2):
+            for draw in GRID_KINDS:
+                res = exact_mms([draw(rng) for _ in range(m)], k)
+                digest.update(f"{res.value} {res.partition}\n".encode())
+    assert digest.hexdigest() == GRID_DIGEST
+
+
+def fill_level_reference(loads, budget):
+    """Largest integer L with sum(max(0, L - load)) <= budget."""
+    level = min(loads)
+    while sum(max(0, level + 1 - x) for x in loads) <= budget:
+        level += 1
+    return level
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 50), min_size=1, max_size=8),
+    st.integers(0, 500),
+)
+def test_fill_level_matches_reference(loads, budget):
+    assert _fill_level(loads, budget) == fill_level_reference(loads, budget)

@@ -43,6 +43,18 @@ def test_check_alpha_mms_reuses_given_shares(monkeypatch):
     assert report.per_agent[0].ratio == Fraction(5, 6)
 
 
+@pytest.mark.parametrize("shares", [[2], [2, 5, 5]])
+def test_check_alpha_mms_refuses_shares_of_the_wrong_length(shares):
+    # Zipped against the rows, a short list would certify only a prefix of
+    # the agents: here agent 1's bundle is worth 1 of a share of 5, and the
+    # full check fails.
+    inst = make_instance([[9, 1, 1], [5, 5, 1]])
+    alloc = Allocation(bundles=((0, 1), (2,)))
+    assert check_alpha_mms(inst, alloc, Fraction(3, 4)).overall is False
+    with pytest.raises(InputError, match=f"{len(shares)} shares for 2 agents"):
+        check_alpha_mms(inst, alloc, Fraction(3, 4), shares)
+
+
 def test_check_alpha_mms_identical_pair():
     inst = make_instance([[4, 3, 2, 1]] * 2)
     alloc = Allocation(bundles=((0, 3), (1, 2)))
