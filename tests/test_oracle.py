@@ -149,6 +149,29 @@ def test_grid_digest():
     assert digest.hexdigest() == GRID_DIGEST
 
 
+# Rows drawn like perfbench's certify_small pool: uniform:1:100, and one
+# agent's row of correlated:20:100:10 (a base in [20, 100] plus noise).
+CERTIFY_KINDS = (
+    lambda rng: rng.randint(1, 100),
+    lambda rng: max(0, rng.randint(20, 100) + rng.randint(-10, 10)),
+)
+CERTIFY_DIGEST = "b52a524205c4bde5989ac34e8837be91ae3ff39f38890339338798f898c3208b"
+
+
+def test_certify_size_digest():
+    # 144 seeded rows at the sizes certification reaches, m 11-14 and k 2-4:
+    # deeper trees than the grid's, where most nodes sit near the leaves.
+    rng = random.Random(26)
+    digest = hashlib.sha256()
+    for m in range(11, 15):
+        for k in range(2, 5):
+            for draw in CERTIFY_KINDS:
+                for _ in range(6):
+                    res = exact_mms([draw(rng) for _ in range(m)], k)
+                    digest.update(f"{res.value} {res.partition}\n".encode())
+    assert digest.hexdigest() == CERTIFY_DIGEST
+
+
 def fill_level_reference(loads, budget):
     """Largest integer L with sum(max(0, L - load)) <= budget."""
     level = min(loads)
