@@ -3,8 +3,9 @@
 Values are exact rationals (`fractions.Fraction`) at the API.  Floats are
 rejected at the door so that no rounding can creep into the solver path.
 An `Instance` keeps each row cleared to ints over one denominator, once
-(`cleared_row`): all-int input builds no `Fraction`, and `Instance.values`
-derives the rationals only for readers that ask.
+(`cleared_row`): an all-int row is taken as it is, in one step with no
+per-entry loop, and builds no `Fraction`; `Instance.values` derives the
+rationals only for readers that ask.
 All operations are pure: the same inputs give bit-identical outputs.
 """
 
@@ -53,19 +54,23 @@ def as_rational(x) -> Fraction:
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")
 
 
-def cleared_row(values: Sequence, label: str) -> tuple[tuple[int, ...], int]:
+def cleared_row(values: Iterable, label: str) -> tuple[tuple[int, ...], int]:
     """The row, validated, over one common denominator: ``(ints, d)``.
 
     ``as_rational(values[j]) == Fraction(ints[j], d)`` and ``d`` is the lcm
     of the denominators, so the ints sort, sum and compare as the row does.
-    Plain ints skip ``as_rational``; a negative entry is reported as
-    ``label[j]``.
+    A row of non-negative plain ints is taken as it is, in one step with no
+    per-entry loop; other plain ints skip ``as_rational``; a negative entry
+    is reported as ``label[j]``.
 
     >>> cleared_row([Fraction(1, 2), "2/3", 0], "values")
     ((3, 4, 0), 6)
     >>> cleared_row([5, 0, 7], "values"), cleared_row([], "values")
     (((5, 0, 7), 1), ((), 1))
     """
+    values = tuple(values)  # read an iterator once
+    if {int}.issuperset(map(type, values)) and min(values, default=0) >= 0:
+        return values, 1
     row = []
     for j, x in enumerate(values):
         v = x if type(x) is int else as_rational(x)

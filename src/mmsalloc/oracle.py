@@ -15,6 +15,13 @@ optimal branch:
   an item is only ever tried in one of them (this also means an item opens
   at most one empty bundle).
 
+Each node sorts its bundles by load once, stably, so equal loads keep
+index order.  The bound pours the remaining total along that order, and
+the children follow it, skipping a bundle whose load equals the previous
+child's.  The last item goes only on the lightest bundle: on any other
+the lightest load stays the minimum, and the lightest bundle's own leaf
+is worth at least that, so no other last child can become the incumbent.
+
 Everything runs on integers internally: ``model.cleared_row`` validates the
 row and scales it by its common denominator, and the maximin share scales
 along with the values, so the result is exact.  An int row such as
@@ -39,19 +46,6 @@ class MmsResult:
 
     value: Fraction
     partition: tuple[tuple[int, ...], ...]
-
-
-def _fill_level(loads: list[int], budget: int) -> int:
-    """Floor of the water-filling level: pour `budget` onto the lightest
-    bundles until it runs out.  No completed partition can have a minimum
-    above this."""
-    ls = sorted(loads)
-    for width in range(1, len(ls)):
-        step = (ls[width] - ls[width - 1]) * width
-        if budget < step:
-            return ls[width - 1] + budget // width
-        budget -= step
-    return ls[-1] + budget // len(ls)
 
 
 def exact_mms(values: Sequence, k: int) -> MmsResult:
@@ -97,31 +91,45 @@ def exact_mms(values: Sequence, k: int) -> MmsResult:
     # fill levels from below, no prune reaches it: it is the first incumbent.
     best = 0
     best_assign: list[int] = []
+    best_loads: list[int] = []
     loads = [0] * k
     assign = [0] * len(w)
+    last = len(w) - 1
 
     def search(idx: int) -> bool:
         """Depth-first over bundle choices; returns True to stop early."""
-        nonlocal best, best_assign
-        if idx == len(w):
-            val = min(loads)
-            if val > best:
-                best = val
-                best_assign = assign[:]
-                return best >= ceiling
+        nonlocal best, best_assign, best_loads
+        # Stable, so equal loads keep index order: the witnesses depend on it.
+        order = sorted(range(k), key=loads.__getitem__)
+        # Water fill: prune unless the rest can lift every bundle past best.
+        budget = suffix[idx]
+        for b in order:
+            if loads[b] > best:
+                break
+            budget -= best + 1 - loads[b]
+        if budget < 0:
             return False
-        if _fill_level(loads, suffix[idx]) <= best:
-            return False
-        tried = set()
-        for b in sorted(range(k), key=lambda x: (loads[x], x)):
-            if loads[b] in tried:
-                continue
-            tried.add(loads[b])
-            loads[b] += w[idx]
+        item = w[idx]
+        if idx == last:
+            # On any other bundle the lightest load stays the minimum, and
+            # the lightest bundle's own leaf is worth at least that.
+            b = assign[idx] = order[0]
+            loads[b] += item
+            if (val := min(loads)) > best:
+                best, best_assign, best_loads = val, assign[:], loads[:]
+            loads[b] -= item
+            return best >= ceiling
+        prev = -1
+        for b in order:
+            load = loads[b]
+            if load == prev:
+                continue  # bundles of equal load are interchangeable
+            prev = load
+            loads[b] = load + item
             assign[idx] = b
             if search(idx + 1):
                 return True
-            loads[b] -= w[idx]
+            loads[b] = load
         return False
 
     search(0)
@@ -129,8 +137,7 @@ def exact_mms(values: Sequence, k: int) -> MmsResult:
     for i, j in enumerate(positive):
         bundles[best_assign[i]].append(j)
     # Zero items ride along on the lightest bundle; they change nothing.
-    lightest = min(range(k), key=lambda b: (sum(weights[j] for j in bundles[b]), b))
-    bundles[lightest].extend(zeros)
+    bundles[best_loads.index(best)].extend(zeros)
 
     return MmsResult(Fraction(best, denom), _freeze(bundles))
 

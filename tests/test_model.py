@@ -19,6 +19,7 @@ from mmsalloc.errors import InputError
 from mmsalloc.model import (
     Allocation,
     as_rational,
+    cleared_row,
     lift_allocation,
     make_instance,
     order_instance,
@@ -85,6 +86,40 @@ def test_validation_through_the_int_shortcut(entry_point, bad, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_int_rows_keep_their_messages():
+    # An all-int row with one bad entry leaves the one-step path for the
+    # loop: a negative int is reported at its own index, and bools (an int
+    # subclass) are refused.
+    with pytest.raises(InputError, match=r"^values\[3\] = -7 is negative$"):
+        cleared_row([3, 0, 5, -7], "values")
+    with pytest.raises(InputError, match=r"^values\[1\]\[0\] = -1 is negative$"):
+        make_instance([[1, 2], [-1, 4]])
+    with pytest.raises(InputError, match="^boolean is not a valuation: False$"):
+        exact_mms([False, True], 1)
+
+
+@pytest.mark.parametrize(
+    "row", [[5, 0, 7], [], [2**70, 0, 1], [Fraction(1, 2), "2/3", 0], [4, "3", 2], [1, 2, -3]]
+)
+def test_cleared_row_reads_an_iterator_once(row):
+    # An iterator clears exactly like the same list: no path reads it twice.
+    def outcome(values):
+        try:
+            return cleared_row(values, "values")
+        except InputError as exc:
+            return str(exc)
+
+    assert outcome(iter(row)) == outcome(row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**70), max_size=12))
+def test_int_row_clears_like_the_general_path(row):
+    # A Fraction entry sends the row through the per-entry loop.
+    assert cleared_row(row, "values") == (tuple(row), 1)
+    assert cleared_row(row + [Fraction(0)], "values") == (tuple(row) + (0,), 1)
 
 
 def test_all_int_instance_builds_no_fraction_matrix():
