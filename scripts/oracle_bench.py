@@ -6,7 +6,8 @@ largest-first greedy assignment, which seeds the incumbent.  Its cost
 grows exponentially in the item count but is very sensitive to value
 structure.  This script times it on uniform random rows for a grid of
 (m, k) and prints one row per cell with the median and the maximum wall
-time.  Both are over --trials fresh rows; values are integers in [0, 100].
+time, in seconds to the microsecond.  Both are over --trials fresh rows;
+values are integers in [0, 100].
 
 Example commands:
   python3 scripts/oracle_bench.py
@@ -66,8 +67,8 @@ def main() -> int:
                 exact_mms(row, k)
                 walls.append(time.perf_counter() - start)
             print(
-                f"{m:>4} {k:>3} {statistics.median(walls):>10.4f}"
-                f" {max(walls):>10.4f}"
+                f"{m:>4} {k:>3} {statistics.median(walls):>10.6f}"
+                f" {max(walls):>10.6f}"
             )
     return 0
 

@@ -14,10 +14,9 @@ entries, as two columns, and takes the fillers' worth from her row total.
 A profile where high bags outnumber low bags while the spare value falls
 short of ``SPARE_PER_LOW_BAG`` per low bag is the signal that the agent's
 working share bound is overestimated and must be rescaled before bag
-filling can be trusted.  The state's memo, which lives for one layout,
-keeps each agent's verdict with the stamp of the scale it was judged at, so
-a scan after a rescale with no removal profiles only that agent.  A clone
-profiles afresh.
+filling can be trusted.  The state's memo keeps each agent's verdict until
+a removal ends the layout or a rescale of hers drops it, so a scan after a
+rescale with no removal profiles only that agent.  A clone profiles afresh.
 A fill keeps the waiting agents' raw sums as one list, adds each filler's
 column to it in one pass, and stops at the first sum at its agent's cut-off.
 """
@@ -98,14 +97,13 @@ def agents_needing_rescale(state: ReductionState) -> Iterator[int]:
     Lazy: each agent is judged only when the iterator reaches her, so
     ``next(agents_needing_rescale(state), None)`` stops there.
     """
-    # agent -> (scale stamp, needs_rescale), for this layout's scans.
+    # agent -> needs_rescale, for this layout's scans; a rescale drops her.
     verdicts = state.memo.setdefault("verdicts", {})
     for a in state.agents:
-        # Each write of a scale makes a new stamp: identity is exact, hashes nothing.
-        seen, stamp = verdicts.get(a), state.stamp(a)
-        if seen is None or seen[0] is not stamp:
-            seen = verdicts[a] = (stamp, profile_agent(state, a).needs_rescale)
-        if seen[1]:
+        needs = verdicts.get(a)
+        if needs is None:
+            needs = verdicts[a] = profile_agent(state, a).needs_rescale
+        if needs:
             yield a
 
 

@@ -90,9 +90,10 @@ class ReductionState:
     state as it still is; it must not touch the state.  Clones start
     without one.
 
-    ``memo`` is scratch for the current agents and items: each removal
-    rebinds it to a new dict, so it never outlives its layout.  A clone
-    starts with an empty one, so nothing done to a copy reaches its parent.
+    ``memo`` is scratch for the current agents and items: a removal rebinds
+    it to a new dict, and ``scale_row`` to a copy without the rescaled agent.
+    A clone starts with an empty one, so nothing done to a copy reaches its
+    parent.
     """
 
     def __init__(
@@ -140,10 +141,6 @@ class ReductionState:
         num, den = self.scale[agent]
         return Fraction(num * sum(map(self.rows[agent].__getitem__, items)), den)
 
-    def stamp(self, agent: int) -> object:
-        """Stands for ``agent``'s scale; each write of it makes a new one."""
-        return self.scale[agent]
-
     def cross_terms(self, agent: int, alpha: Fraction) -> tuple[int, int]:
         """``(lhs, rhs)``: ``agent`` values raw ``r`` at ``alpha`` or more iff ``r*lhs >= rhs``."""
         num, den = self.scale[agent]
@@ -161,6 +158,8 @@ class ReductionState:
         num, den = num * factor.numerator, den * factor.denominator
         g = math.gcd(num, den)
         self.scale[agent] = (num // g, den // g)
+        # Only her entries read her scale; a state sharing the old memo keeps it.
+        self.memo = {key: {a: v for a, v in seen.items() if a != agent} for key, seen in self.memo.items()}
 
     def _notify(self, event: str, fields: dict) -> None:
         if self.observer is not None:
@@ -237,12 +236,13 @@ def _greedy_loop(
     kind: str,
 ) -> ReductionState:
     # ``shapes`` is a prefix of SHAPES, so zipping keeps the priority order.
-    # A pass with no taker records every agent's scale, so the next pass over
-    # these bundles at this alpha tests only the agents rescaled since then.
-    scale = state.scale
+    # A pass with no taker enters every agent it tested; ``scale_row`` drops the
+    # agent it rescales, so the next pass at this alpha retests only her.
+    # The key holds alpha as ints, which hash in C; a Fraction hashes in Python.
+    key = (shapes, alpha.as_integer_ratio())
     while state.agents:
-        seen = state.memo.setdefault(shapes, {})
-        fresh = [a for a in state.agents if seen.get(a) != (scale[a], alpha)] if seen else state.agents
+        seen = state.memo.setdefault(key, {})
+        fresh = [a for a in state.agents if a not in seen]
         for shape, bundle in zip(shapes, candidate_bundles(state)):
             if not bundle:
                 continue
@@ -251,7 +251,7 @@ def _greedy_loop(
                 apply_reduction(state, agent, bundle, kind, shape, alpha=alpha)
                 break
         else:
-            seen.update((a, (scale[a], alpha)) for a in fresh)
+            seen.update(dict.fromkeys(fresh, False))
             break
     return state
 

@@ -1,6 +1,8 @@
 """The repo's pytest settings: a failing property test stays an ordinary
-failure, and the suite runs the benchmark's self-tests."""
+failure, and the suite runs the benchmark's self-tests.  Also the Python
+floor, which pyproject.toml and the README state alike."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +46,11 @@ def test_suite_collects_the_benchmark_self_tests(pytestconfig):
     # perfbench/ holds the benchmark's self-tests; a plain run collects them.
     assert pytestconfig.getini("testpaths") == ["tests", "src", "perfbench"]
     assert (PYPROJECT.parent / "perfbench" / "test_perfbench.py").is_file()
+
+
+def test_python_floor_agrees_and_has_int_max_str_digits():
+    # model.as_rational calls sys.get_int_max_str_digits, new in CPython 3.10.7.
+    (floor,) = re.findall(r'^requires-python = ">=([\d.]+)"$', PYPROJECT.read_text(), re.M)
+    readme = (PYPROJECT.parent / "README.md").read_text()
+    assert re.findall(r"Python >= ([\d.]+\d)", readme) == [floor]
+    assert tuple(map(int, floor.split("."))) >= (3, 10, 7)

@@ -1,23 +1,28 @@
 """The update loop's memo: what it keeps never changes what the solver does.
 
 A state keeps a memo of profile verdicts and of removal passes that found
-no taker, each with the scale every agent was judged at.  The memo lives
-for one layout: each removal rebinds it to a new dict.  A clone starts with
-an empty one; the update loop gives its snapshot the live memo, which the
-live state leaves behind at its first tentative removal.  Here every scan
-the update loop makes is checked against a fresh profile of every agent, on
-the loop family's pinned seeds and on near-threshold rows at n = 20 and 40;
-the profile count of the benchmark's near instance is pinned; a rerun from
-a snapshot, or another solve, must not see verdicts it did not make; an
-edited copy, an observer's or a plain clone, changes nothing its parent
-does; a removal pass after a rescale tests only the rescaled agent; and so
-does the rerun's first fixed pass after an undone tentative removal.
+no taker.  An entry lasts until a removal rebinds the memo to a new dict or
+a rescale of its agent rebinds it to a copy without her entries.  A clone
+starts with an empty one; the update loop gives its snapshot the live memo,
+which the live state leaves behind at its first tentative removal.  Here
+every scan the update loop makes is checked against a fresh profile of
+every agent, on the loop family's pinned seeds and on near-threshold rows
+at n = 20 and 40; the profile and threshold-test counts of the benchmark's
+near instance are pinned; a rerun from a snapshot, or another solve, must
+not see verdicts it did not make; an edited copy, an observer's or a plain
+clone, changes nothing its parent does; a removal pass after a rescale
+tests only the rescaled agent; and so does the rerun's first fixed pass
+after an undone tentative removal.  Random rescales, removals and
+memo-sharing clones never make a state scan or remove otherwise than a
+memo-free one.
 """
 
 import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_scale_digests import CASES, near_threshold
 from test_update_loop_family import SEEDS, loop_family
 
@@ -26,7 +31,13 @@ import mmsalloc.solver as solver_mod
 from mmsalloc.bags import agents_needing_rescale, bag_layout, profile_agent
 from mmsalloc.jsonio import allocation_to_json, dump_json
 from mmsalloc.model import make_instance, order_instance
-from mmsalloc.reduction import ReductionState, apply_reduction, reduce_fixed, reduce_tentative
+from mmsalloc.reduction import (
+    ReductionState,
+    apply_reduction,
+    candidate_bundles,
+    reduce_fixed,
+    reduce_tentative,
+)
 from mmsalloc.solver import normalize_average, solve_poly34
 
 
@@ -68,18 +79,26 @@ def test_cached_scan_matches_fresh_profiles_on_near_rows(n, seed, monkeypatch):
 def test_near_instance_profiles_each_agent_about_once(monkeypatch):
     # The benchmark's near_instance(random.Random(1)): 50 agents, 11 rescales.
     # Every pass re-profiled all agents up to the first hit (370 profiles);
-    # now a pass profiles only the rescaled agent, plus one per bound.
-    calls = []
+    # now a pass profiles only the rescaled agent, plus one per bound.  Both
+    # counts are exact, so a memo that quietly tests more fails here.
+    calls, tested = [], []
+    real = ReductionState.values_at_least
 
     def counted(state, agent):
         calls.append(agent)
         return profile_agent(state, agent)
 
+    def counted_test(self, agent, items, alpha):
+        tested.append(agent)
+        return real(self, agent, items, alpha)
+
     monkeypatch.setattr(bags_mod, "profile_agent", counted)
     monkeypatch.setattr(solver_mod, "profile_agent", counted)
+    monkeypatch.setattr(ReductionState, "values_at_least", counted_test)
     _, stats = solve_poly34(near_threshold(1, 50))
     assert stats.update_loop_iterations == 11
-    assert len(calls) <= 80
+    assert len(calls) == 72
+    assert len(tested) == 427
 
 
 def envelope_digest(inst):
@@ -213,3 +232,55 @@ def test_rerun_after_an_undone_removal_tests_only_the_rescaled_agent(monkeypatch
     assert (0, "tentative", "top_tail") in trail[:cut]
     # Three shapes tested, then apply_reduction's own check of her bundle.
     assert trail[cut + 1:cut + 6] == [1, 1, 1, 1, (1, "fixed", "tail_triple")]
+
+
+def sharing_clone(state):
+    # The update loop's snapshot: a clone that keeps its parent's memo.
+    twin = state.clone()
+    twin.memo = state.memo
+    return twin
+
+
+def states_agree_with_fresh_ones(state):
+    # The memo-free answers: every agent profiled, and a removal pass on a
+    # clone, which starts with an empty memo.
+    fresh = tuple(a for a in state.agents if profile_agent(state, a).needs_rescale)
+    assert tuple(agents_needing_rescale(state)) == fresh
+    assert reduce_fixed(sharing_clone(state)).log == reduce_fixed(state.clone()).log
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_memo_never_serves_a_stale_verdict(data):
+    # The update loop's moves in any order, on either copy: a rescale (of an
+    # agent that needs one, when some does), a removal, and a clone that
+    # shares its parent's memo.  After each, every state scans and removes
+    # as a memo-free one does, reading in both orders what the others wrote.
+    n = data.draw(st.integers(2, 5))
+    m = data.draw(st.integers(1, 4 * n))
+    row = st.lists(st.integers(0, 60), min_size=m, max_size=m).filter(any)
+    rows = data.draw(st.lists(row, min_size=n, max_size=n))
+    view = order_instance(make_instance(rows))
+    agents = range(n)
+    state = ReductionState.from_instance(view, agents, normalize_average(view, agents), data.draw(st.booleans()))
+    states = [state, sharing_clone(state)]
+    for each in states:
+        states_agree_with_fresh_ones(each)
+    for _ in range(8):
+        state = data.draw(st.sampled_from(states))
+        if not state.agents:
+            continue
+        step = data.draw(st.sampled_from(["scale", "remove", "clone"]))
+        if step == "scale":
+            den = data.draw(st.integers(1, 8))
+            factor = Fraction(den + data.draw(st.integers(1, den)), den)
+            needing = [a for a in state.agents if profile_agent(state, a).needs_rescale]
+            state.scale_row(data.draw(st.sampled_from(needing or state.agents)), factor)
+        elif step == "remove":
+            bundle = data.draw(st.sampled_from([b for b in candidate_bundles(state) if b] or [()]))
+            agent = data.draw(st.sampled_from(state.agents))
+            apply_reduction(state, agent, bundle, "fixed", "top", alpha=Fraction(0))
+        else:
+            states.append(sharing_clone(state))
+        for each in states + states[::-1]:
+            states_agree_with_fresh_ones(each)
