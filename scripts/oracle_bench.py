@@ -6,8 +6,11 @@ largest-first greedy assignment, which seeds the incumbent.  Its cost
 grows exponentially in the item count but is very sensitive to value
 structure.  This script times it on uniform random rows for a grid of
 (m, k) and prints one row per cell with the median and the maximum wall
-time, in seconds to the microsecond.  Both are over --trials fresh rows;
-values are integers in [0, 100].
+time, in seconds to the microsecond, and the median number of search
+nodes.  All three are over --trials fresh rows; values are integers in
+[0, 100].  Every node sorts its bundles by load once, so the nodes are
+counted as the `sorted` calls made inside the search, in a second, untimed
+call on the same row.  Node counts do not depend on the host.
 
 Example commands:
   python3 scripts/oracle_bench.py
@@ -25,6 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from mmsalloc import oracle
 from mmsalloc.oracle import ORACLE_CAP, exact_mms
 
 
@@ -51,24 +55,42 @@ def parse_args():
     return args
 
 
+def count_nodes(row: list[int], k: int) -> int:
+    """Search nodes of one `exact_mms` call: its `sorted` calls from `search`."""
+    nodes = 0
+
+    def counting_sorted(*args, **kwargs):
+        nonlocal nodes
+        nodes += sys._getframe(1).f_code.co_name == "search"
+        return sorted(*args, **kwargs)
+
+    oracle.sorted = counting_sorted
+    try:
+        exact_mms(row, k)
+    finally:
+        del oracle.sorted
+    return nodes
+
+
 def main() -> int:
     args = parse_args()
     rng = random.Random(args.seed)
 
-    print(f"{'m':>4} {'k':>3} {'median_s':>10} {'max_s':>10}")
+    print(f"{'m':>4} {'k':>3} {'median_s':>10} {'max_s':>10} {'nodes':>9}")
     for m in range(args.m_min, args.m_max + 1):
         for k in args.ks:
             if k > m:
                 continue
-            walls = []
+            walls, nodes = [], []
             for _ in range(args.trials):
                 row = [rng.randint(0, 100) for _ in range(m)]
                 start = time.perf_counter()
                 exact_mms(row, k)
                 walls.append(time.perf_counter() - start)
+                nodes.append(count_nodes(row, k))
             print(
                 f"{m:>4} {k:>3} {statistics.median(walls):>10.6f}"
-                f" {max(walls):>10.6f}"
+                f" {max(walls):>10.6f} {statistics.median(nodes):>9g}"
             )
     return 0
 

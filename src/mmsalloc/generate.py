@@ -4,6 +4,8 @@ The generator is pinned: `random.Random` (CPython's Mersenne Twister) seeded
 with the spec's seed, cells drawn row-major.  A cell in [lo, hi] is lo plus
 the first `getrandbits(k)` below the width hi - lo + 1, with k the width's
 bit length: the ints `randint(lo, hi)` gives on CPython, drawn at C speed.
+When the range is no wider than the cells drawn from it, each draw indexes
+one list of the range's values, so equal cells share one int object.
 Identical specs give bit-identical instances across runs and platforms; seed
 stability is part of the external contract, so do not change the draw order.
 """
@@ -93,7 +95,10 @@ def _cells(rng: random.Random, lo: int, hi: int, count: int) -> Iterator[int]:
     """``count`` cells in [lo, hi], each one ``rng.randint(lo, hi)`` would give."""
     width = hi - lo + 1
     draws = map(rng.getrandbits, repeat(width.bit_length()))
-    return map(add, repeat(lo), islice(filter(width.__gt__, draws), count))
+    offsets = islice(filter(width.__gt__, draws), count)
+    if width <= count:  # equal cells share one int object
+        return map(list(range(lo, hi + 1)).__getitem__, offsets)
+    return map(add, repeat(lo), offsets)
 
 
 def gen_instance(spec: GenSpec) -> Instance:

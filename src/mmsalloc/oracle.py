@@ -15,12 +15,17 @@ optimal branch:
   an item is only ever tried in one of them (this also means an item opens
   at most one empty bundle).
 
-Each node sorts its bundles by load once, stably, so equal loads keep
-index order.  The bound pours the remaining total along that order, and
-the children follow it, skipping a bundle whose load equals the previous
+Items are ranked once by a reversed stable sort, so equal values keep
+ascending id order, and the zeros form the tail of that ranking.  Each
+node sorts its bundles by load once, stably, so equal loads keep index
+order.  The bound pours the remaining total along that order, and the
+children follow it, skipping a bundle whose load equals the previous
 child's.  The last item goes only on the lightest bundle: on any other
 the lightest load stays the minimum, and the lightest bundle's own leaf
 is worth at least that, so no other last child can become the incumbent.
+Each leaf runs inside its parent's child loop as one more load sort and
+no bound test, since a leaf whose minimum beats the incumbent always
+passes the water fill.
 
 Everything runs on integers internally: ``model.cleared_row`` validates the
 row and scales it by its common denominator, and the maximin share scales
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import InputError
@@ -65,13 +71,14 @@ def exact_mms(values: Sequence, k: int) -> MmsResult:
     if m > ORACLE_CAP:
         raise InputError(f"{m} items exceeds the search cap of {ORACLE_CAP}")
 
-    order = sorted(range(m), key=lambda j: (-weights[j], j))
-    positive = [j for j in order if weights[j] > 0]
-    zeros = [j for j in order if weights[j] == 0]
+    value_of = list(weights).__getitem__
+    order = sorted(range(m), key=value_of, reverse=True)
+    cut = m - weights.count(0)
+    positive, zeros = order[:cut], order[cut:]
 
     bundles: list[list[int]] = [[] for _ in range(k)]
 
-    if len(positive) < k:
+    if cut < k:
         # Some bundle is forced empty, the share is zero.  Witness: one
         # positive item per bundle, zeros appended to the first bundle.
         for slot, j in enumerate(positive):
@@ -79,12 +86,9 @@ def exact_mms(values: Sequence, k: int) -> MmsResult:
         bundles[0].extend(zeros)
         return MmsResult(Fraction(0), _freeze(bundles))
 
-    w = [weights[j] for j in positive]
-    suffix = [0] * (len(w) + 1)
-    for i in range(len(w) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + w[i]
-    total = suffix[0]
-    ceiling = total // k  # no partition's minimum can exceed the average
+    w = [*map(value_of, positive)]
+    suffix = [*accumulate(reversed(w), initial=0)][::-1]
+    ceiling = suffix[0] // k  # no partition's minimum can exceed the average
 
     # The first leaf is the greedy one.  It gives each bundle one of the k
     # largest items, so its minimum beats 0 and, bounding its ancestors'
@@ -93,32 +97,28 @@ def exact_mms(values: Sequence, k: int) -> MmsResult:
     best_assign: list[int] = []
     best_loads: list[int] = []
     loads = [0] * k
-    assign = [0] * len(w)
-    last = len(w) - 1
+    assign = [0] * cut
+    last = cut - 1
+    tail = w[last]
+    ids = range(k)
+    load_of = loads.__getitem__
 
     def search(idx: int) -> bool:
         """Depth-first over bundle choices; returns True to stop early."""
         nonlocal best, best_assign, best_loads
         # Stable, so equal loads keep index order: the witnesses depend on it.
-        order = sorted(range(k), key=loads.__getitem__)
+        order = sorted(ids, key=load_of)
         # Water fill: prune unless the rest can lift every bundle past best.
+        target = best + 1
         budget = suffix[idx]
         for b in order:
-            if loads[b] > best:
+            if (load := loads[b]) >= target:
                 break
-            budget -= best + 1 - loads[b]
+            budget -= target - load
         if budget < 0:
             return False
         item = w[idx]
-        if idx == last:
-            # On any other bundle the lightest load stays the minimum, and
-            # the lightest bundle's own leaf is worth at least that.
-            b = assign[idx] = order[0]
-            loads[b] += item
-            if (val := min(loads)) > best:
-                best, best_assign, best_loads = val, assign[:], loads[:]
-            loads[b] -= item
-            return best >= ceiling
+        leaves = idx + 1 == last
         prev = -1
         for b in order:
             load = loads[b]
@@ -127,12 +127,25 @@ def exact_mms(values: Sequence, k: int) -> MmsResult:
             prev = load
             loads[b] = load + item
             assign[idx] = b
-            if search(idx + 1):
+            if leaves:
+                # A leaf: the last item on the lightest bundle only.
+                c = sorted(ids, key=load_of)[0]
+                loads[c] += tail
+                if (val := min(loads)) > best:
+                    assign[last] = c
+                    best, best_assign, best_loads = val, assign[:], loads[:]
+                    if best >= ceiling:
+                        return True
+                loads[c] -= tail
+            elif search(idx + 1):
                 return True
             loads[b] = load
         return False
 
-    search(0)
+    if last:
+        search(0)
+    else:  # one positive item and one bundle
+        best, best_assign, best_loads = tail, [0], [tail]
 
     for i, j in enumerate(positive):
         bundles[best_assign[i]].append(j)
@@ -145,6 +158,6 @@ def exact_mms(values: Sequence, k: int) -> MmsResult:
 def _freeze(bundles: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """Canonical witness form: items ascending, bundles by first item,
     empty bundles last."""
-    sorted_bundles = [tuple(sorted(b)) for b in bundles]
-    sorted_bundles.sort(key=lambda b: (not b, b[:1]))
-    return tuple(sorted_bundles)
+    # Bundles are disjoint, so tuple order is first-item order.
+    full = sorted(map(tuple, map(sorted, filter(None, bundles))))
+    return (*full, *[()] * (len(bundles) - len(full)))

@@ -1,5 +1,6 @@
 """The generator's bytes: sha256 pins per kind, agreement with the per-cell
-`randint` reference on seeded specs, and `GenSpec.validate`'s refusals.
+`randint` reference on seeded specs, shared int objects, and
+`GenSpec.validate`'s refusals.
 
 Seed stability is part of the external contract, so the pins hold the
 bytes `gen_instance` gave when every cell was one `rng.randint(lo, hi)`
@@ -12,7 +13,7 @@ import random
 import pytest
 
 from mmsalloc.errors import InputError
-from mmsalloc.generate import GenSpec, gen_instance
+from mmsalloc.generate import GenSpec, gen_instance, make_spec
 
 
 def randint_rows(spec: GenSpec) -> list[list[int]]:
@@ -126,6 +127,13 @@ def test_generator_does_not_call_randint(monkeypatch):
     monkeypatch.setattr(random.Random, "randrange", refuse)
     for name, spec in SPECS.items():
         assert rows_digest(gen_instance(spec).rows) == DIGESTS[name]
+
+
+def test_uniform_rows_share_one_int_per_value():
+    """A memory guard: cells drawn from a range no wider than their count
+    are the range's own int objects, not one new int per cell."""
+    inst = gen_instance(make_spec(60, 600, "uniform:1:1000", 4))
+    assert len({id(v) for row in inst.rows for v in row}) <= 1000
 
 
 @pytest.mark.parametrize(

@@ -8,13 +8,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmsalloc.errors import InputError
 from mmsalloc import oracle
 from mmsalloc.oracle import exact_mms
-from naive_oracle import naive_mms, partition_min
+from naive_oracle import naive_mms, partition_min, reference_mms
 
 
 def test_textbook_case():
@@ -174,6 +174,43 @@ def test_certify_size_digest():
                     res = exact_mms([draw(rng) for _ in range(m)], k)
                     digest.update(f"{res.value} {res.partition}\n".encode())
     assert digest.hexdigest() == CERTIFY_DIGEST
+
+
+TAIL_DIGEST = "eb97fa427aef8cf6be106a68dd547dfd4b2cd3a7f0c60a4578d7d6b46bae06a6"
+
+
+def test_tail_size_digest():
+    # 24 seeded rows past the certification sizes, m 15-16 and k 5-6: the
+    # deepest witnesses pinned, where a search change would first move one.
+    rng = random.Random(27)
+    digest = hashlib.sha256()
+    for m in range(15, 17):
+        for k in range(5, 7):
+            for draw in CERTIFY_KINDS:
+                for _ in range(3):
+                    res = exact_mms([draw(rng) for _ in range(m)], k)
+                    digest.update(f"{res.value} {res.partition}\n".encode())
+    assert digest.hexdigest() == TAIL_DIGEST
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, 20),
+            st.fractions(min_value=0, max_value=20, max_denominator=6),
+        ),
+        max_size=12,
+    ),
+    st.integers(1, 6),
+)
+@example([0, 7, 0], 1)  # one positive item: the root is the only leaf
+@example([0, 3, 0, 2], 3)  # k above the positive count: forced zero
+@example([5, 5, 0, 5, 5, 0], 2)  # ties and zeros
+def test_search_matches_reference(row, k):
+    # The same value and the same witness as the search before its leaves
+    # were folded into their parents.
+    assert exact_mms(row, k) == reference_mms(row, k)
 
 
 def test_search_node_count(monkeypatch):

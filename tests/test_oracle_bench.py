@@ -18,8 +18,9 @@ def test_tiny_run_prints_one_row_per_cell():
     done = run_bench("--m-min", "4", "--m-max", "5", "--k", "2", "--trials", "1")
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()
-    assert header.split() == ["m", "k", "median_s", "max_s"]
+    assert header.split() == ["m", "k", "median_s", "max_s", "nodes"]
     assert [row.split()[:2] for row in rows] == [["4", "2"], ["5", "2"]]
+    assert all(int(row.split()[4]) >= 1 for row in rows)
 
 
 @pytest.mark.parametrize(
