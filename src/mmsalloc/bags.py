@@ -10,7 +10,7 @@ The per-agent profile measures how far the bags are from uniform for that
 agent: how many bags sit below the acceptance threshold, how many sit above
 the high-water mark, and her ``spare`` value, the fillers plus the low bags,
 as one int in her row's raw units.  It reads only the agent's 2n bag
-entries, as two columns, and takes the fillers' worth from her row total.
+entries, by one getter per layout, and takes the fillers' worth from her total.
 A profile where high bags outnumber low bags while the spare value falls
 short of ``SPARE_PER_LOW_BAG`` per low bag is the signal that the agent's
 working share bound is overestimated and must be rescaled before bag
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat, tee
-from operator import add, ge, getitem, gt, itemgetter, lt
+from operator import add, ge, gt, itemgetter, lt
 from typing import Iterator
 
 from .errors import InvariantViolation
@@ -74,11 +74,17 @@ class AgentProfile:
 
 def profile_agent(state: ReductionState, agent: int) -> AgentProfile:
     # Bag k pairs items[k] with items[2n-1-k]: the head column (0 past the last
-    # item) plus the reversed tail column, aligned to the end.  No filler is read.
-    n, items, row = len(state.agents), state.items, state.rows[agent]
-    raws = [*map(getitem, repeat(row), items[:n]), *[0] * (n - len(items))]
-    tail = items[n:2 * n][::-1]
-    raws[n - len(tail):] = map(add, raws[n - len(tail):], map(getitem, repeat(row), tail))
+    # item) plus the reversed tail column, aligned to the end.  One getter per
+    # layout reads both, kept in a dict as every memo entry is.  No filler is read.
+    n, row = len(state.agents), state.rows[agent]
+    if (columns := state.memo.get("columns")) is None:
+        at = [*state.items[:n], *state.items[n:2 * n][::-1]]
+        # itemgetter gives a bare item for one index and refuses none.
+        get = itemgetter(*at) if len(at) > 1 else lambda r: (*map(r.__getitem__, at),)
+        columns = state.memo["columns"] = {"get": get}
+    got = columns["get"](row)
+    raws = [*got[:n], *[0] * (n - len(got))]
+    raws[2 * n - len(got):] = map(add, raws[2 * n - len(got):], got[n:])
     low_lhs, low_rhs = state.cross_terms(agent, LOW_BAG)
     high_lhs, high_rhs = state.cross_terms(agent, HIGH_BAG)
     # For lhs > 0: r * lhs < rhs iff r < ceil(rhs / lhs); r * lhs > rhs iff r > rhs // lhs.
@@ -86,7 +92,7 @@ def profile_agent(state: ReductionState, agent: int) -> AgentProfile:
     high_count = sum(map(gt, raws, repeat(high_rhs // high_lhs)))
     # The fillers plus the low bags: her total less the bags that are not low.
     spare = state.totals[agent] - sum(raws) + sum(low)
-    lhs, rhs = state.cross_terms(agent, SPARE_PER_LOW_BAG)
+    lhs, rhs = state.cross_terms(agent, SPARE_PER_LOW_BAG) if high_count > len(low) else (0, 0)
     needs = high_count > len(low) and spare * lhs < rhs * len(low)
     return AgentProfile(agent, len(low), high_count, spare, needs)
 

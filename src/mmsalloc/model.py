@@ -143,6 +143,10 @@ class OrderedView:
     ranking: tuple[tuple[int, ...], ...]
     int_rows: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def sums(self) -> tuple[int, ...]:
+        return tuple(map(sum, self.int_rows))
+
 
 def order_instance(inst: Instance) -> OrderedView:
     """Sort every agent's row into descending order of value.

@@ -24,15 +24,15 @@ clones.  An agent's scale is an int pair ``(num, den)``, read by no other
 module, and she values raw ``r`` at ``num * r / den``: a threshold test
 (``values_at_least``) is an integer sum and cross-multiplication, a rescale
 multiplies the pair and reduces it once, and a renormalization stores the
-agent count over her raw total, unreduced.  That total is summed once when
-the state is built and then only reduced by each removed bundle.  Its
-memo is scratch for one layout, and each removal starts a new one; so a
-snapshot taken before the tentative phase may share it, and keeps only what
-was found before the first removal.  Whoever may roll that phase back hands
-the snapshot to ``undo_tentative``.  The state reports each removal, before
-making it, through one optional hook that receives the event name, its
-JSON-ready fields and the state itself; it copies nothing, so whoever
-listens decides what to keep.
+agent count over her raw total, unreduced.  That total is summed once, with
+the row (``OrderedView.sums``), then reduced by each removal in one column
+pass.  Its memo is scratch for one layout, and each removal starts a new one;
+so a snapshot taken through the hook just before the first tentative removal
+may share it.  A phase that removes nothing takes no snapshot; whoever rolls
+one back hands it to ``undo_tentative``, which reads the removed items from
+the log.  The state reports each removal, before making it, through one
+optional hook that receives the event name, its JSON-ready fields and the
+state itself; it copies nothing, so whoever listens decides what to keep.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import filterfalse, repeat
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvariantViolation
@@ -80,20 +82,20 @@ class ReductionState:
     ``rows[a][j]`` is agent ``a``'s raw integer value for item ``j``; the
     rows are never written, and clones share them.  Agent ``a`` values item
     ``j`` at ``num * rows[a][j] / den`` for ``(num, den) = scale[a] > 0``,
-    and ``totals[a]`` is her raw sum over ``items``.  When ``renormalize`` is
-    set, every surviving agent is rescaled after each removal so her
-    remaining items sum exactly to the number of remaining agents (keeping
-    each maximin share at most 1 via the average bound).
+    and ``totals[a]`` is her raw sum over ``items``, passed in or summed.
+    When ``renormalize`` is set, every surviving agent is rescaled after each
+    removal so her remaining items sum exactly to the number of remaining
+    agents (keeping each maximin share at most 1 via the average bound).
 
     An optional ``observer`` callable receives ``(event, fields, state)``
     before each removal, with the JSON-ready fields of the event and this
     state as it still is; it must not touch the state.  Clones start
     without one.
 
-    ``memo`` is scratch for the current agents and items: a removal rebinds
-    it to a new dict, and ``scale_row`` to a copy without the rescaled agent.
-    A clone starts with an empty one, so nothing done to a copy reaches its
-    parent.
+    ``memo`` is scratch for the current agents and items, a dict of dicts: a
+    removal rebinds it to a new one, and ``scale_row`` to copies without the
+    rescaled agent.  A clone starts with an empty one, so nothing done to a
+    copy reaches its parent.
     """
 
     def __init__(
@@ -103,13 +105,13 @@ class ReductionState:
         rows: Sequence[Sequence[int]],
         scale: Mapping[int, tuple[int, int]],
         renormalize: bool,
+        totals: Sequence[int] | None = None,
     ):
         self.agents: list[int] = sorted(agents)
         self.items: list[int] = sorted(items)
         self.rows = rows
         self.scale: dict[int, tuple[int, int]] = {a: scale[a] for a in self.agents}
-        # A state of every item (the from_instance case) sums whole rows.
-        self.totals = {a: sum(rows[a] if items == range(len(rows[a])) else map(rows[a].__getitem__, self.items))
+        self.totals = {a: sum(map(rows[a].__getitem__, self.items)) if totals is None else totals[a]
                        for a in self.agents}
         self.renormalize = renormalize
         self.log: list[AssignmentRecord] = []
@@ -128,7 +130,7 @@ class ReductionState:
         """
         # Every row has the same length; a view with no agents has no items.
         m = max(map(len, view.int_rows), default=0)
-        return cls(agent_ids, range(m), view.int_rows, scales, renormalize)
+        return cls(agent_ids, range(m), view.int_rows, scales, renormalize, view.sums)
 
     def clone(self) -> "ReductionState":
         twin = copy.copy(self)
@@ -159,7 +161,9 @@ class ReductionState:
         g = math.gcd(num, den)
         self.scale[agent] = (num // g, den // g)
         # Only her entries read her scale; a state sharing the old memo keeps it.
-        self.memo = {key: {a: v for a, v in seen.items() if a != agent} for key, seen in self.memo.items()}
+        self.memo = {key: seen.copy() for key, seen in self.memo.items()}
+        for seen in self.memo.values():
+            seen.pop(agent, None)
 
     def _notify(self, event: str, fields: dict) -> None:
         if self.observer is not None:
@@ -211,21 +215,26 @@ def apply_reduction(
     state.agents.remove(agent)
     for p in sorted(spots, reverse=True):
         del items[p]
-    for a in state.agents:
-        state.totals[a] -= sum(map(state.rows[a].__getitem__, bundle))
-    del state.totals[agent]
+    totals = state.totals
+    del totals[agent]
+    # One column pass; itemgetter gives a bare item for one index and refuses none.
+    rows = itemgetter(*totals)(state.rows) if len(totals) > 1 else map(state.rows.__getitem__, totals)
+    worth = map(itemgetter(*bundle), rows) if bundle else repeat(0)
+    if len(bundle) > 1:
+        worth = map(sum, worth)
+    totals = state.totals = dict(zip(totals, map(sub, totals.values(), worth)))
     state.log.append(record)
     state.memo = {}
 
-    for a in [a for a in state.agents if state.totals[a] == 0]:
-        zero = AssignmentRecord(a, (), kind, ZERO_SHAPE)
-        state._notify("reduce", zero.to_json())
-        state.agents.remove(a)
-        del state.totals[a]
-        state.log.append(zero)
+    if 0 in totals.values():
+        for a in [a for a in state.agents if totals[a] == 0]:
+            zero = AssignmentRecord(a, (), kind, ZERO_SHAPE)
+            state._notify("reduce", zero.to_json())
+            state.agents.remove(a)
+            del totals[a]
+            state.log.append(zero)
     if state.renormalize:
-        for a in state.agents:
-            state.scale[a] = (len(state.agents), state.totals[a])
+        state.scale.update(zip(totals, zip(repeat(len(totals)), totals.values())))
     return state
 
 
@@ -242,7 +251,7 @@ def _greedy_loop(
     key = (shapes, alpha.as_integer_ratio())
     while state.agents:
         seen = state.memo.setdefault(key, {})
-        fresh = [a for a in state.agents if a not in seen]
+        fresh = [*filterfalse(seen.__contains__, state.agents)] if seen else state.agents
         for shape, bundle in zip(shapes, candidate_bundles(state)):
             if not bundle:
                 continue
@@ -277,8 +286,8 @@ def reduce_tentative(state: ReductionState) -> ReductionState:
 
     The fourth shape ("top_tail") is only safe when the working upper bounds
     on the maximin shares are tight, which is checked after the fact; so the
-    whole phase is recorded as tentative, and a caller that may roll it back
-    clones the state first and passes that clone to ``undo_tentative``.  A
+    whole phase is recorded as tentative; a caller that may roll it back clones
+    the state at its first removal for ``undo_tentative``.  A
     "top_tail" removal can unlock further removals of the earlier shapes;
     those happen inside this phase and are tentative too.
     """
@@ -288,10 +297,10 @@ def reduce_tentative(state: ReductionState) -> ReductionState:
 def undo_tentative(
     state: ReductionState, snapshot: ReductionState
 ) -> tuple[ReductionState, set[int]]:
-    """Roll ``state`` back to ``snapshot``, its clone from before the tentative
-    phase.  Returns ``(snapshot, held)``: the snapshot, now with the state's
-    hook (callers rebind), and the items the tentative phase removed.  The
-    snapshot keeps its own memo, which holds only its own layout's entries.
+    """Roll ``state`` back to ``snapshot``, its clone from just before the first
+    tentative removal.  Returns ``(snapshot, held)``: the snapshot, now with the
+    state's hook (callers rebind), and the items in the state's log entries past
+    the snapshot's.  The snapshot keeps its own memo, of its own layout's entries.
     """
     snapshot.observer = state.observer
-    return snapshot, set(snapshot.items) - set(state.items)
+    return snapshot, {j for record in state.log[len(snapshot.log):] for j in record.bundle}

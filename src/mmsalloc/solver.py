@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Callable
 
 from .bags import (
@@ -110,7 +111,7 @@ def iteration_cap(n: int) -> int:
 
 def rescale_candidates(
     state: ReductionState, agent: int, held_out: set[int]
-) -> dict[str, Fraction]:
+) -> dict[str, tuple[int, int]]:
     """Certified upper bounds on ``agent``'s maximin share, by source.
 
     Each candidate says: if the agent's true share exceeded this value, some
@@ -124,11 +125,12 @@ def rescale_candidates(
     "bag_deficit", ``scale * spare / (7/8 * low_bags)`` from the agent's
     bag profile: a scan fires for her exactly when it is < 1 with more high
     bags than low.  A candidate with no witness items (for "bag_deficit", no
-    low bag) is omitted.
+    low bag) is omitted.  Each bound is a pair ``(num, den)``, den > 0.
     """
-    four_thirds = Fraction(4, 3)
-    cands: dict[str, Fraction] = {
-        shape: four_thirds * state.bundle_value(agent, bundle)
+    num, den = state.scale[agent]
+    raw = state.rows[agent].__getitem__
+    cands = {
+        shape: (4 * num * sum(map(raw, bundle)), 3 * den)
         for shape, bundle in zip(FIXED_SHAPES, candidate_bundles(state))
     }
     # The bags hold the first 2n items, the fillers the rest, best first.
@@ -136,11 +138,11 @@ def rescale_candidates(
     bag_item = next((j for j in state.items[:2 * n] if j not in held_out), None)
     filler_item = next((j for j in state.items[2 * n:] if j not in held_out), None)
     if bag_item is not None and filler_item is not None:
-        cands["open_pair"] = four_thirds * state.bundle_value(agent, (bag_item, filler_item))
+        cands["open_pair"] = (4 * num * (raw(bag_item) + raw(filler_item)), 3 * den)
     prof = profile_agent(state, agent)
     if prof.low_bags > 0:
         lhs, rhs = state.cross_terms(agent, SPARE_PER_LOW_BAG)
-        cands["bag_deficit"] = Fraction(prof.spare * lhs, rhs * prof.low_bags)
+        cands["bag_deficit"] = (prof.spare * lhs, rhs * prof.low_bags)
     return cands
 
 
@@ -157,11 +159,12 @@ def update_upper_bound(
     rolled-back one, where the agent's profile can read differently.
     """
     cands = rescale_candidates(state, agent, held_out)
-    alpha = max(cands.values())
+    best = max(cands.values(), key=cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1]))
+    alpha = Fraction(*best)
     if not 0 < alpha < 1:
         raise InvariantViolation(
             f"rescale bound for agent {agent} is {alpha}, outside (0, 1); "
-            f"candidates: { {k: str(v) for k, v in cands.items()} }"
+            f"candidates: { {k: str(Fraction(*v)) for k, v in cands.items()} }"
         )
     return alpha
 
@@ -171,25 +174,33 @@ def _reduce_with_updates(
 ) -> tuple[ReductionState, int]:
     """The reduction phase of ``solve_poly34``: fixed removals, then
     tentative ones, and while some agent's bag profile proves her working
-    bound too high, go back to the clone taken before the tentative phase,
-    rescale the row of the first such agent by the tightest certified bound
-    and run both phases again.  Returns the final state and the number of
-    update-loop iterations.
+    bound too high, roll back to the clone taken at the first tentative
+    removal (none if nothing was removed; the held items come from the log),
+    rescale the first such agent's row by the tightest certified bound and
+    rerun both phases.  Returns the final state and its update-loop count.
 
     The state is fresh, so it holds every active agent and the cap is
-    ``iteration_cap`` of the active count.
+    ``iteration_cap`` of the active count; its hook is ``emit``.
     """
     count = len(state.agents)
     cap = iteration_cap(count)
     iterations = 0
+
+    def snap(event: str, fields: dict, live: ReductionState) -> None:
+        # The snapshot shares the memo: the first removal rebinds the state's
+        # own, so the snapshot keeps only what was found at its layout.
+        nonlocal snapshot
+        if snapshot is None:
+            snapshot = live.clone()
+            snapshot.memo = live.memo
+        emit(event, fields, live)
+
     while True:
         reduce_fixed(state)
         emit("fixed_phase_done", state=state)
-        # The snapshot shares the memo: the state's first removal rebinds its
-        # own, so the snapshot keeps only what was found at its layout.
-        snapshot = state.clone()
-        snapshot.memo = state.memo
+        snapshot, state.observer = None, snap
         reduce_tentative(state)
+        state.observer = emit
         target = next(agents_needing_rescale(state), None)
         if target is None:
             break
@@ -198,7 +209,7 @@ def _reduce_with_updates(
             raise InvariantViolation(
                 f"rescale loop passed {cap} iterations for {count} agents"
             )
-        state, held = undo_tentative(state, snapshot)
+        state, held = (state, set()) if snapshot is None else undo_tentative(state, snapshot)
         emit("undo_tentative")
         bound = update_upper_bound(state, target, held)
         state.scale_row(target, 1 / bound)
@@ -236,7 +247,7 @@ def normalize_average(view: OrderedView, agents: list[int]) -> dict[int, tuple[i
     """One scale per agent of ``agents``, ``(len(agents), sum(int_row))``,
     so her scaled row sums to the agent count and her maximin share is at
     most 1 (the average bound).  Every row must be nonzero."""
-    return {a: (len(agents), sum(view.int_rows[a])) for a in agents}
+    return {a: (len(agents), view.sums[a]) for a in agents}
 
 
 def normalize_mms(shares: dict[int, int]) -> dict[int, tuple[int, int]]:

@@ -8,18 +8,20 @@ folded into their parents, kept verbatim to pin the partition it finds as
 well as the value.  The other helpers read an instance's values as ``Fraction`` rows, check a
 witness partition, rescale one agent's row, sort
 rows by a keyed sort, normalize rows, profile an agent's bags and fill the
-bags in plain ``Fraction`` arithmetic or one agent test at a time, and take
-a copy of a reduction state's contents to compare against later.
+bags in plain ``Fraction`` arithmetic or one agent test at a time, form
+the update loop's rescale bound as the max of ``Fraction`` candidates, and
+take a copy of a reduction state's contents to compare against later.
 """
 
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from mmsalloc.bags import AgentProfile, BagFillResult, bag_layout
+from mmsalloc.bags import SPARE_PER_LOW_BAG, AgentProfile, BagFillResult, bag_layout, profile_agent
 from mmsalloc.errors import InputError, InvariantViolation
 from mmsalloc.model import Instance, OrderedView, cleared_row, make_instance
 from mmsalloc.oracle import ORACLE_CAP, MmsResult
+from mmsalloc.reduction import FIXED_SHAPES, candidate_bundles
 
 
 def fraction_rows(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
@@ -150,6 +152,33 @@ def fill_bags_reference(state, alpha: Fraction) -> BagFillResult:
             }
         )
     return BagFillResult(tuple(assignments), tuple(fillers[next_filler:]), tuple(trace))
+
+
+def rescale_candidates_reference(state, agent: int, held_out: set[int]) -> dict[str, Fraction]:
+    """``solver.rescale_candidates`` as it stood with ``Fraction`` bounds,
+    kept verbatim: 4/3 of each fixed bundle's and the open pair's value, and
+    the bag profile's ``scale * spare / (7/8 * low_bags)``."""
+    four_thirds = Fraction(4, 3)
+    cands: dict[str, Fraction] = {
+        shape: four_thirds * state.bundle_value(agent, bundle)
+        for shape, bundle in zip(FIXED_SHAPES, candidate_bundles(state))
+    }
+    # The bags hold the first 2n items, the fillers the rest, best first.
+    n = len(state.agents)
+    bag_item = next((j for j in state.items[:2 * n] if j not in held_out), None)
+    filler_item = next((j for j in state.items[2 * n:] if j not in held_out), None)
+    if bag_item is not None and filler_item is not None:
+        cands["open_pair"] = four_thirds * state.bundle_value(agent, (bag_item, filler_item))
+    prof = profile_agent(state, agent)
+    if prof.low_bags > 0:
+        lhs, rhs = state.cross_terms(agent, SPARE_PER_LOW_BAG)
+        cands["bag_deficit"] = Fraction(prof.spare * lhs, rhs * prof.low_bags)
+    return cands
+
+
+def upper_bound_reference(state, agent: int, held_out: set[int]) -> Fraction:
+    """``solver.update_upper_bound``'s choice: the largest ``Fraction`` candidate."""
+    return max(rescale_candidates_reference(state, agent, held_out).values())
 
 
 def state_key(state):

@@ -85,7 +85,7 @@ def test_profile_classify_example():
     assert p.spare == 101
     # no more high bags than low, and 1.01 >= 7/8 anyway
     assert p.needs_rescale is False
-    assert rescale_candidates(st, 0, set())["bag_deficit"] == Fraction(101, 100) / Fraction(7, 8)
+    assert Fraction(*rescale_candidates(st, 0, set())["bag_deficit"]) == Fraction(101, 100) / Fraction(7, 8)
 
 
 def test_profile_needs_rescale():
@@ -97,7 +97,7 @@ def test_profile_needs_rescale():
     assert p.spare == 780
     assert p.needs_rescale is True
     assert tuple(agents_needing_rescale(st)) == (0, 1, 2)
-    assert rescale_candidates(st, 0, set())["bag_deficit"] == Fraction(156, 175)
+    assert Fraction(*rescale_candidates(st, 0, set())["bag_deficit"]) == Fraction(156, 175)
 
 
 def test_profile_shortfall_is_strict():
@@ -108,13 +108,13 @@ def test_profile_shortfall_is_strict():
     p = profile_agent(st, 0)
     assert (p.low_bags, p.high_bags, p.spare) == (1, 2, 700)
     assert p.needs_rescale is False
-    assert rescale_candidates(st, 0, set())["bag_deficit"] == 1
+    assert Fraction(*rescale_candidates(st, 0, set())["bag_deficit"]) == 1
     # one raw unit less of filler: 3 * 699 / 2399 < 7/8
     st = make_state([row[:-1] + [59]] * 3)
     p = profile_agent(st, 0)
     assert (p.low_bags, p.high_bags, p.spare) == (1, 2, 699)
     assert p.needs_rescale is True
-    assert rescale_candidates(st, 0, set())["bag_deficit"] == Fraction(16776, 16793)
+    assert Fraction(*rescale_candidates(st, 0, set())["bag_deficit"]) == Fraction(16776, 16793)
 
 
 def test_rescale_scan_builds_no_fraction(monkeypatch):
@@ -136,8 +136,11 @@ def test_rescale_scan_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     assert [tuple(agents_needing_rescale(st)) for st in states] == [(0, 1, 2), (), ()]
     assert built == []
-    # the wrap sees what does build one: a bound that leaves the solver
-    assert rescale_candidates(states[0], 0, set())["bag_deficit"] == Fraction(156, 175)
+    # the candidates are int pairs too; the wrap sees what does build one,
+    # a bound that leaves the solver
+    cands = rescale_candidates(states[0], 0, set())
+    assert built == []
+    assert Fraction(*cands["bag_deficit"]) == Fraction(156, 175)
     assert built
 
 
@@ -300,7 +303,8 @@ def test_integer_thresholds_match_fraction_reference(case):
             got = profile_agent(state, a)
             want, bag_deficit = profile_agent_reference(state, a)
             assert asdict(got) == asdict(want)
-            assert rescale_candidates(state, a, set()).get("bag_deficit") == bag_deficit
+            pair = rescale_candidates(state, a, set()).get("bag_deficit")
+            assert (None if pair is None else Fraction(*pair)) == bag_deficit
 
     check()
     for kind, pick, factor in steps:

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive_oracle import state_key
+from test_scale_digests import near_threshold, removal_heavy
+from test_update_loop_family import SEEDS, loop_family
 
+import mmsalloc.reduction as reduction_mod
+import mmsalloc.solver as solver_mod
 from mmsalloc.errors import InvariantViolation
 from mmsalloc.model import make_instance, order_instance
 from mmsalloc.reduction import (
@@ -21,7 +25,7 @@ from mmsalloc.reduction import (
     reduce_tentative,
     undo_tentative,
 )
-from mmsalloc.solver import normalize_average
+from mmsalloc.solver import normalize_average, solve_poly34
 from mmsalloc.verify import check_valid_reduction
 
 
@@ -315,3 +319,55 @@ def test_fixed_reductions_are_valid_reductions(data):
     st_, _ = undo_tentative(st_, snapshot)
     assert (state_key(st_), st_.totals) == before
     assert_totals(st_)
+
+
+# The solve's rescale scan stood in for by one that asks once for agent 1:
+# agent 0's tentative top_tail removal, and the ones it unlocks, are undone.
+FORCED_UNDO_ROWS = [
+    [7400, 7400, 3700, 3700, 3600, 3600, 100] + [100] * 5 + [0] * 7,
+    [7000, 7000, 3700, 3700, 3700, 3700, 96] + [92] * 12,
+    [7000, 7000, 3700, 3700, 3700, 3700, 96] + [92] * 12,
+]
+BOOKKEEPING_CASES = {
+    "removal_40": lambda: removal_heavy(0),
+    "near_50": lambda: near_threshold(1, 50),
+    **{f"loop_{s}": (lambda s=s: loop_family(s)) for s in sorted(SEEDS)},
+    "forced_undo": lambda: make_instance(FORCED_UNDO_ROWS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOKKEEPING_CASES))
+def test_survivor_bookkeeping_after_every_removal(name, monkeypatch):
+    # After each removal every survivor's total is her raw sum over the items
+    # and, in a renormalizing state, her scale is the agent count over it;
+    # each undo holds out exactly the items its snapshot has and she lacks.
+    removals, helds = [], []
+    apply, undo = reduction_mod.apply_reduction, solver_mod.undo_tentative
+
+    def checked_apply(state, *args, **kwargs):
+        apply(state, *args, **kwargs)
+        assert list(state.totals) == state.agents
+        for a in state.agents:
+            assert state.totals[a] == sum(state.rows[a][j] for j in state.items)
+            if state.renormalize:
+                assert state.scale[a] == (len(state.agents), state.totals[a])
+        removals.append(len(state.log))
+        return state
+
+    def checked_undo(state, snapshot):
+        gone = set(snapshot.items) - set(state.items)
+        restored, held = undo(state, snapshot)
+        assert held == gone and restored is snapshot
+        helds.append(held)
+        return restored, held
+
+    monkeypatch.setattr(reduction_mod, "apply_reduction", checked_apply)
+    monkeypatch.setattr(solver_mod, "undo_tentative", checked_undo)
+    if name == "forced_undo":
+        asks = iter([[1]])
+        monkeypatch.setattr(solver_mod, "agents_needing_rescale", lambda state: iter(next(asks, [])))
+    _, stats = solve_poly34(BOOKKEEPING_CASES[name]())
+    assert len(removals) >= stats.fixed_assignments + stats.tentative_assignments
+    # Only the forced case rolls back a removal: elsewhere every round's
+    # tentative phase removed nothing, so no snapshot was taken.
+    assert all(helds) and bool(helds) == (name == "forced_undo")

@@ -8,7 +8,9 @@ which the live state leaves behind at its first tentative removal.  Here
 every scan the update loop makes is checked against a fresh profile of
 every agent, on the loop family's pinned seeds and on near-threshold rows
 at n = 20 and 40; the profile and threshold-test counts of the benchmark's
-near instance are pinned; a rerun from a snapshot, or another solve, must
+near instance are pinned, and so are the clones and undos a solve makes
+(one snapshot at the first tentative removal, none when nothing is removed)
+and what an observer sees; a rerun from a snapshot, or another solve, must
 not see verdicts it did not make; an edited copy, an observer's or a plain
 clone, changes nothing its parent does; a removal pass after a rescale
 tests only the rescaled agent; and so does the rerun's first fixed pass
@@ -23,7 +25,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_scale_digests import CASES, near_threshold
+from test_scale_digests import CASES, near_threshold, removal_heavy
 from test_update_loop_family import SEEDS, loop_family
 
 import mmsalloc.bags as bags_mod
@@ -76,12 +78,33 @@ def test_cached_scan_matches_fresh_profiles_on_near_rows(n, seed, monkeypatch):
     assert stats.fixed_assignments > 0
 
 
+def count_copies(monkeypatch):
+    # Every ReductionState.clone and every undo_tentative the solver makes.
+    clones, undos = [], []
+    clone, undo = ReductionState.clone, solver_mod.undo_tentative
+
+    def counted_clone(self):
+        clones.append(self)
+        return clone(self)
+
+    def counted_undo(state, snapshot):
+        undos.append(snapshot)
+        return undo(state, snapshot)
+
+    monkeypatch.setattr(ReductionState, "clone", counted_clone)
+    monkeypatch.setattr(solver_mod, "undo_tentative", counted_undo)
+    return clones, undos
+
+
 def test_near_instance_profiles_each_agent_about_once(monkeypatch):
     # The benchmark's near_instance(random.Random(1)): 50 agents, 11 rescales.
     # Every pass re-profiled all agents up to the first hit (370 profiles);
     # now a pass profiles only the rescaled agent, plus one per bound.  Both
-    # counts are exact, so a memo that quietly tests more fails here.
+    # counts are exact, so a memo that quietly tests more fails here.  No
+    # tentative phase removes anything, so nothing is cloned or rolled back
+    # (a snapshot before every tentative phase made 12 clones and 11 undos).
     calls, tested = [], []
+    clones, undos = count_copies(monkeypatch)
     real = ReductionState.values_at_least
 
     def counted(state, agent):
@@ -99,6 +122,33 @@ def test_near_instance_profiles_each_agent_about_once(monkeypatch):
     assert stats.update_loop_iterations == 11
     assert len(calls) == 72
     assert len(tested) == 427
+    assert (len(clones), len(undos)) == (0, 0)
+    assert [e["event"] for e in stats.events].count("undo_tentative") == 11
+
+
+def test_a_kept_tentative_removal_costs_one_clone(monkeypatch):
+    # removal_heavy(0) keeps its one tentative removal: the snapshot taken at
+    # that removal is the solve's only clone, and nothing is rolled back.
+    clones, undos = count_copies(monkeypatch)
+    _, stats = solve_poly34(removal_heavy(0))
+    assert (stats.update_loop_iterations, stats.tentative_assignments) == (0, 1)
+    assert (len(clones), len(undos)) == (1, 0)
+
+
+def test_an_observer_sees_the_same_events_and_states():
+    # The event names and the agents and items of every clone an observer
+    # receives, over the removal, near and loop-family instances; the digest
+    # is the one the solver gave with a snapshot before every tentative phase.
+    digest = hashlib.sha256()
+
+    def observer(event, record):
+        digest.update(event.encode())
+        if "state" in record:
+            digest.update(repr((record["state"].agents, record["state"].items)).encode())
+
+    for inst in [removal_heavy(0), near_threshold(1, 50), *map(loop_family, sorted(SEEDS))]:
+        solve_poly34(inst, observer=observer)
+    assert digest.hexdigest() == "ee2e16e200442d433ff98e16726fd3394073e0c34ff2e11e1be81812fe681ae4"
 
 
 def envelope_digest(inst):

@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from naive_oracle import scale_agent, state_key
-from test_scale_digests import removal_heavy
+from naive_oracle import scale_agent, state_key, upper_bound_reference
+from test_scale_digests import near_threshold, removal_heavy
+from test_update_loop_family import SEEDS, WIDE_SEEDS, loop_family
 
 import mmsalloc.reduction as reduction_mod
 import mmsalloc.solver as solver_mod
@@ -63,7 +64,7 @@ def test_rescale_candidates_all_five():
     inst = make_instance([FIVE_CANDIDATE_ROW] * 3)
     st = average_state(inst)
     cands = rescale_candidates(st, 0, set())
-    assert cands == {
+    assert {shape: Fraction(*pair) for shape, pair in cands.items()} == {
         "top": Fraction(74, 75),
         "mid_pair": Fraction(73, 75),
         "tail_triple": Fraction(1191, 1250),
@@ -80,9 +81,9 @@ def test_rescale_candidates_respect_held_out():
     # to the next positions (7000 and the next 96)
     held = {0, 6}
     cands = rescale_candidates(st, 0, held)
-    assert cands["open_pair"] == Fraction(4, 3) * Fraction(7000 + 96, 10000)
+    assert Fraction(*cands["open_pair"]) == Fraction(4, 3) * Fraction(7000 + 96, 10000)
     # other candidates are untouched by the hold-out
-    assert cands["top"] == Fraction(74, 75)
+    assert Fraction(*cands["top"]) == Fraction(74, 75)
 
 
 def test_solve_rescale_loop_runs_once():
@@ -371,7 +372,7 @@ def test_update_upper_bound_with_held_out_items():
     # below the top candidate, which becomes the binding bound
     bound = update_upper_bound(st, 0, {0, 6})
     assert bound == Fraction(74, 75)
-    assert rescale_candidates(st, 0, {0, 6})["open_pair"] == Fraction(
+    assert Fraction(*rescale_candidates(st, 0, {0, 6})["open_pair"]) == Fraction(
         4, 3
     ) * Fraction(7000 + 96, 10000)
 
@@ -383,3 +384,32 @@ def test_update_upper_bound_raises_without_low_bags():
     assert "bag_deficit" not in rescale_candidates(st, 0, set())
     with pytest.raises(InvariantViolation, match=r"outside \(0, 1\)"):
         update_upper_bound(st, 0, set())
+
+
+BOUND_CASES = {
+    **{f"near_{s}": (lambda s=s: near_threshold(s, 50), None) for s in (1, 2, 3)},
+    **{f"loop_{s}": (lambda s=s: loop_family(s), SEEDS[s][0]) for s in sorted(SEEDS)},
+    **{f"wide_{n}_{s}": (lambda s=s, n=n: loop_family(s, n), it)
+       for n, seeds in WIDE_SEEDS.items() for s, it in seeds.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CASES))
+def test_int_bound_matches_fraction_reference(name, monkeypatch):
+    # At every rescale the bound picked by cross-multiplying int pairs is the
+    # max of the Fraction candidates, and it is what the rescale event reports.
+    build, iterations = BOUND_CASES[name]
+    bounds = []
+    real = solver_mod.update_upper_bound
+
+    def checked(state, agent, held_out):
+        got = real(state, agent, held_out)
+        assert type(got) is Fraction and got == upper_bound_reference(state, agent, held_out)
+        bounds.append(str(got))
+        return got
+
+    monkeypatch.setattr(solver_mod, "update_upper_bound", checked)
+    _, stats = solve_poly34(build())
+    assert bounds == [e["bound"] for e in stats.events if e["event"] == "rescale"]
+    assert len(bounds) == stats.update_loop_iterations >= 1
+    assert iterations in (None, stats.update_loop_iterations)

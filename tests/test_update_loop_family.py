@@ -24,13 +24,17 @@ from mmsalloc.verify import check_alpha_mms, corollary_violations
 UNIT = 10**4  # one agent's average value
 
 
-def loop_family(seed):
+def loop_family(seed, n=None):
     # Y in [0.30, 0.42], X = Y + [-0.02, 0.04], F in [0.02, 0.4] and H fills
     # the row up to n; each H, X and Y entry moves by up to 0.01, and each
-    # of the f fillers is drawn from [0, 2F/f].
+    # of the f fillers is drawn from [0, 2F/f].  Given n, the family is
+    # widened past the oracle's sizes: f is drawn from [n, 3n] instead.
     rng = random.Random(seed)
-    n = rng.randint(3, 6)
-    f = rng.randint(1, 24 - 2 * n)
+    if n is None:
+        n = rng.randint(3, 6)
+        f = rng.randint(1, 24 - 2 * n)
+    else:
+        f = rng.randint(n, 3 * n)
     y = rng.randint(3000, 4200)
     x = y + rng.randint(-200, 400)
     filler = rng.randint(200, 4000)
@@ -60,6 +64,10 @@ SEEDS = {
     9993: (3, 5, "9916102a36cbd5a7f5adf70f3b666f480a45bea26ecdf21110faefc096f89b85"),
     10313: (2, 6, "a0e4c35956b20ccf2c68474cb54e5bfd39795a78a705304741d06e0ea54bfbf9"),
 }
+
+# The first three seeds at which the widened family (given n) runs the loop,
+# at each n: seed -> update-loop iterations.
+WIDE_SEEDS = {20: {2: 1, 10: 14, 18: 6}, 40: {2: 1, 10: 28, 18: 23}}
 
 
 def test_seeds_cover_repeated_rescales_and_kept_tentatives():
