@@ -9,8 +9,9 @@ structure.  This script times it on uniform random rows for a grid of
 time, in seconds to the microsecond, and the median number of search
 nodes.  All three are over --trials fresh rows; values are integers in
 [0, 100].  Every node sorts its bundles by load once, so the nodes are
-counted as the `sorted` calls made inside the search, in a second, untimed
-call on the same row.  Node counts do not depend on the host.
+counted as the `sorted` calls made inside the search, plus one per child
+the two-bundle subset-sum walk tries, in a second, untimed call on the same
+row.  Node counts do not depend on the host.
 
 Example commands:
   python3 scripts/oracle_bench.py
@@ -56,19 +57,27 @@ def parse_args():
 
 
 def count_nodes(row: list[int], k: int) -> int:
-    """Search nodes of one `exact_mms` call: its `sorted` calls from `search`."""
+    """Search nodes of one `exact_mms` call: its `sorted` calls from `search`,
+    plus the two-bundle walk's window tests, one per child tried."""
     nodes = 0
+    holds = oracle._holds
 
     def counting_sorted(*args, **kwargs):
         nonlocal nodes
         nodes += sys._getframe(1).f_code.co_name == "search"
         return sorted(*args, **kwargs)
 
-    oracle.sorted = counting_sorted
+    def counting_holds(*args):
+        nonlocal nodes
+        nodes += 1
+        return holds(*args)
+
+    oracle.sorted, oracle._holds = counting_sorted, counting_holds
     try:
         exact_mms(row, k)
     finally:
         del oracle.sorted
+        oracle._holds = holds
     return nodes
 
 

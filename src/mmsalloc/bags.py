@@ -14,9 +14,10 @@ entries, by one getter per layout, and takes the fillers' worth from her total.
 A profile where high bags outnumber low bags while the spare value falls
 short of ``SPARE_PER_LOW_BAG`` per low bag is the signal that the agent's
 working share bound is overestimated and must be rescaled before bag
-filling can be trusted.  The state's memo keeps each agent's verdict until
+filling can be trusted.  The state's memo keeps each agent's profile until
 a removal ends the layout or a rescale of hers drops it, so a scan after a
-rescale with no removal profiles only that agent.  A clone profiles afresh.
+rescale with no removal profiles only that agent, and the rescale bound
+reads the profile the scan made.  A clone profiles afresh.
 A fill keeps the waiting agents' raw sums as one list, adds each filler's
 column to it in one pass, and stops at the first sum at its agent's cut-off.
 """
@@ -103,13 +104,12 @@ def agents_needing_rescale(state: ReductionState) -> Iterator[int]:
     Lazy: each agent is judged only when the iterator reaches her, so
     ``next(agents_needing_rescale(state), None)`` stops there.
     """
-    # agent -> needs_rescale, for this layout's scans; a rescale drops her.
+    # agent -> her profile, for this layout's scans; a rescale drops her.
     verdicts = state.memo.setdefault("verdicts", {})
     for a in state.agents:
-        needs = verdicts.get(a)
-        if needs is None:
-            needs = verdicts[a] = profile_agent(state, a).needs_rescale
-        if needs:
+        if (prof := verdicts.get(a)) is None:
+            prof = verdicts[a] = profile_agent(state, a)
+        if prof.needs_rescale:
             yield a
 
 

@@ -139,7 +139,8 @@ def rescale_candidates(
     filler_item = next((j for j in state.items[2 * n:] if j not in held_out), None)
     if bag_item is not None and filler_item is not None:
         cands["open_pair"] = (4 * num * (raw(bag_item) + raw(filler_item)), 3 * den)
-    prof = profile_agent(state, agent)
+    # A memo entry lives as long as its layout and her scale, so it is hers here.
+    prof = state.memo.get("verdicts", {}).get(agent) or profile_agent(state, agent)
     if prof.low_bags > 0:
         lhs, rhs = state.cross_terms(agent, SPARE_PER_LOW_BAG)
         cands["bag_deficit"] = (prof.spare * lhs, rhs * prof.low_bags)

@@ -193,6 +193,29 @@ def test_tail_size_digest():
     assert digest.hexdigest() == TAIL_DIGEST
 
 
+# Two-bundle rows: values in [0, 100], and values in [0, 2^13], whose
+# totals fall on both sides of the two-bundle walk's size cut of 2^16.
+TWO_BUNDLE_KINDS = (
+    lambda rng: rng.randint(0, 100),
+    lambda rng: rng.randint(0, 2**13),
+)
+TWO_BUNDLE_DIGEST = "d328023d6c09a054d212ce42129db0b44f38d0979bab3f51df6c4d3061b7872c"
+
+
+def test_two_bundle_digest():
+    # 60 seeded k = 2 rows at m 15-24, up to the cap `mmsalloc mms --k 2`
+    # accepts: 38 totals at or below the cut, where the subset-sum walk
+    # answers, and 22 above it, where the search does.
+    rng = random.Random(28)
+    digest = hashlib.sha256()
+    for m in range(15, 25):
+        for draw in TWO_BUNDLE_KINDS:
+            for _ in range(3):
+                res = exact_mms([draw(rng) for _ in range(m)], 2)
+                digest.update(f"{res.value} {res.partition}\n".encode())
+    assert digest.hexdigest() == TWO_BUNDLE_DIGEST
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
@@ -207,16 +230,24 @@ def test_tail_size_digest():
 @example([0, 7, 0], 1)  # one positive item: the root is the only leaf
 @example([0, 3, 0, 2], 3)  # k above the positive count: forced zero
 @example([5, 5, 0, 5, 5, 0], 2)  # ties and zeros
+@example([30000, 20000, 10000, 5536], 2)  # total at the walk's cut: the walk
+@example([30000, 20000, 10000, 5537], 2)  # one past it: the search
+@example([Fraction(32765, 2), Fraction(1, 2), 8192, 8193], 2)  # cleared total 65536
+@example([10, 6, 5, 4], 3)  # k + 1 items: the singleton bound 6 is the share
+@example([0, 10, 0, 6, 5, 4, 0], 3)  # zeros, with fewer than 2k positive items
+@example([3, 0, 5, 2], 1)  # one bundle takes everything
 def test_search_matches_reference(row, k):
     # The same value and the same witness as the search before its leaves
-    # were folded into their parents.
+    # were folded into their parents, before it stopped at the least of its
+    # ceilings, and before two bundles were walked by subset sums.
     assert exact_mms(row, k) == reference_mms(row, k)
 
 
 def test_search_node_count(monkeypatch):
     # A cost guard that does not depend on host speed: every search node
     # sorts its loads once, so the sorts made inside `search` count the
-    # nodes.  A looser completion bound, or lost symmetry pruning, visits
+    # nodes, and the two-bundle walk tests one subset-sum window per child
+    # it tries.  A looser bound or ceiling, or lost symmetry pruning, visits
     # more of them on these 108 seeded rows (m 6-14, k 2-4).
     calls = Counter()
 
@@ -224,11 +255,19 @@ def test_search_node_count(monkeypatch):
         calls[sys._getframe(1).f_code.co_name] += 1
         return builtins.sorted(*args, **kwargs)
 
+    def counting_holds(*args):
+        calls["walk"] += 1
+        return holds(*args)
+
+    holds = oracle._holds
     monkeypatch.setattr(oracle, "sorted", counting_sorted, raising=False)
+    monkeypatch.setattr(oracle, "_holds", counting_holds)
     rng = random.Random(2026)
     for m in range(6, 15):
         for k in range(2, 5):
             for draw in CERTIFY_KINDS:
                 for _ in range(2):
                     exact_mms([draw(rng) for _ in range(m)], k)
-    assert calls["search"] == 69884
+    # 68,289 in all; with the average as its only ceiling and no walk, the
+    # search visits 69,884.
+    assert (calls["search"], calls["walk"]) == (67886, 403)

@@ -98,9 +98,10 @@ def count_copies(monkeypatch):
 
 def test_near_instance_profiles_each_agent_about_once(monkeypatch):
     # The benchmark's near_instance(random.Random(1)): 50 agents, 11 rescales.
-    # Every pass re-profiled all agents up to the first hit (370 profiles);
-    # now a pass profiles only the rescaled agent, plus one per bound.  Both
-    # counts are exact, so a memo that quietly tests more fails here.  No
+    # Every pass re-profiled all agents up to the first hit (370 profiles),
+    # then a pass profiled only the rescaled agent, plus one per bound (72);
+    # now each bound reads the profile its scan kept.  Both counts are
+    # exact, so a memo that quietly tests more fails here.  No
     # tentative phase removes anything, so nothing is cloned or rolled back
     # (a snapshot before every tentative phase made 12 clones and 11 undos).
     calls, tested = [], []
@@ -120,7 +121,7 @@ def test_near_instance_profiles_each_agent_about_once(monkeypatch):
     monkeypatch.setattr(ReductionState, "values_at_least", counted_test)
     _, stats = solve_poly34(near_threshold(1, 50))
     assert stats.update_loop_iterations == 11
-    assert len(calls) == 72
+    assert len(calls) == 61
     assert len(tested) == 427
     assert (len(clones), len(undos)) == (0, 0)
     assert [e["event"] for e in stats.events].count("undo_tentative") == 11
