@@ -15,9 +15,9 @@ A profile where high bags outnumber low bags while the spare value falls
 short of ``SPARE_PER_LOW_BAG`` per low bag is the signal that the agent's
 working share bound is overestimated and must be rescaled before bag
 filling can be trusted.  The state's memo keeps each agent's profile until
-a removal ends the layout or a rescale of hers drops it, so a scan after a
-rescale with no removal profiles only that agent, and the rescale bound
-reads the profile the scan made.  A clone profiles afresh.
+a removal or an undo ends the layout or a rescale of hers drops it, so a
+scan after a rescale with no removal profiles only that agent, and the
+rescale bound reads the profile the scan made.  A clone profiles afresh.
 A fill keeps the waiting agents' raw sums as one list, adds each filler's
 column to it in one pass, and stops at the first sum at its agent's cut-off.
 """

@@ -26,13 +26,14 @@ module, and she values raw ``r`` at ``num * r / den``: a threshold test
 multiplies the pair and reduces it once, and a renormalization stores the
 agent count over her raw total, unreduced.  That total is summed once, with
 the row (``OrderedView.sums``), then reduced by each removal in one column
-pass.  Its memo is scratch for one layout, and each removal starts a new one;
-so a snapshot taken through the hook just before the first tentative removal
-may share it.  A phase that removes nothing takes no snapshot; whoever rolls
-one back hands it to ``undo_tentative``, which reads the removed items from
-the log.  The state reports each removal, before making it, through one
-optional hook that receives the event name, its JSON-ready fields and the
-state itself; it copies nothing, so whoever listens decides what to keep.
+pass.  Its memo is scratch for one layout: each removal starts a new one.
+One state lives through a whole solve.  A tentative phase is rolled back in
+place to the state's ``mark`` from before it, its log length and scales:
+``undo_tentative`` puts back the agents and items of the later log records,
+re-sums the totals and starts a new memo.  The state reports each removal,
+before making it, through one optional hook that receives the event name,
+its JSON-ready fields and the state itself; it copies nothing, so whoever
+listens decides what to keep.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ class ReductionState:
     without one.
 
     ``memo`` is scratch for the current agents and items, a dict of dicts: a
-    removal rebinds it to a new one, and ``scale_row`` to copies without the
-    rescaled agent.  A clone starts with an empty one, so nothing done to a
-    copy reaches its parent.
+    removal or an undo rebinds it to a new one, and ``scale_row`` drops the
+    rescaled agent from each.  A clone starts with an empty one, so nothing
+    done to a copy reaches its parent.
     """
 
     def __init__(
@@ -139,6 +140,10 @@ class ReductionState:
         twin.observer = None
         return twin
 
+    def mark(self) -> tuple[int, dict[int, tuple[int, int]]]:
+        """What ``undo_tentative`` rolls back to: the log length and a copy of the scales."""
+        return len(self.log), dict(self.scale)
+
     def bundle_value(self, agent: int, items: Iterable[int]) -> Fraction:
         num, den = self.scale[agent]
         return Fraction(num * sum(map(self.rows[agent].__getitem__, items)), den)
@@ -160,8 +165,7 @@ class ReductionState:
         num, den = num * factor.numerator, den * factor.denominator
         g = math.gcd(num, den)
         self.scale[agent] = (num // g, den // g)
-        # Only her entries read her scale; a state sharing the old memo keeps it.
-        self.memo = {key: seen.copy() for key, seen in self.memo.items()}
+        # Only her entries read her scale.
         for seen in self.memo.values():
             seen.pop(agent, None)
 
@@ -286,21 +290,28 @@ def reduce_tentative(state: ReductionState) -> ReductionState:
 
     The fourth shape ("top_tail") is only safe when the working upper bounds
     on the maximin shares are tight, which is checked after the fact; so the
-    whole phase is recorded as tentative; a caller that may roll it back clones
-    the state at its first removal for ``undo_tentative``.  A
+    whole phase is recorded as tentative; a caller that may roll it back takes
+    the state's ``mark`` before it for ``undo_tentative``.  A
     "top_tail" removal can unlock further removals of the earlier shapes;
     those happen inside this phase and are tentative too.
     """
     return _greedy_loop(state, DEFAULT_ALPHA, SHAPES, "tentative")
 
 
-def undo_tentative(
-    state: ReductionState, snapshot: ReductionState
-) -> tuple[ReductionState, set[int]]:
-    """Roll ``state`` back to ``snapshot``, its clone from just before the first
-    tentative removal.  Returns ``(snapshot, held)``: the snapshot, now with the
-    state's hook (callers rebind), and the items in the state's log entries past
-    the snapshot's.  The snapshot keeps its own memo, of its own layout's entries.
+def undo_tentative(state: ReductionState, mark: tuple[int, Mapping]) -> set[int]:
+    """Roll ``state`` back in place to ``mark``, its ``mark()`` from before the
+    tentative phase, and return the items of the log records past it.  Their
+    agents and items go back in, each total is re-summed, the marked scales
+    return and the memo starts afresh.  When nothing follows the mark, nothing
+    changes, the memo included.
     """
-    snapshot.observer = state.observer
-    return snapshot, {j for record in state.log[len(snapshot.log):] for j in record.bundle}
+    length, scale = mark
+    undone = state.log[length:]
+    held = {j for record in undone for j in record.bundle}
+    if undone:
+        del state.log[length:]
+        state.agents = sorted([*state.agents, *(record.agent for record in undone)])
+        state.items = sorted([*state.items, *held])
+        state.totals = {a: sum(map(state.rows[a].__getitem__, state.items)) for a in state.agents}
+        state.scale, state.memo = dict(scale), {}
+    return held

@@ -127,10 +127,10 @@ def rescale_candidates(
     bags than low.  A candidate with no witness items (for "bag_deficit", no
     low bag) is omitted.  Each bound is a pair ``(num, den)``, den > 0.
     """
-    num, den = state.scale[agent]
+    lhs, rhs = state.cross_terms(agent, DEFAULT_ALPHA)
     raw = state.rows[agent].__getitem__
     cands = {
-        shape: (4 * num * sum(map(raw, bundle)), 3 * den)
+        shape: (lhs * sum(map(raw, bundle)), rhs)
         for shape, bundle in zip(FIXED_SHAPES, candidate_bundles(state))
     }
     # The bags hold the first 2n items, the fillers the rest, best first.
@@ -138,12 +138,12 @@ def rescale_candidates(
     bag_item = next((j for j in state.items[:2 * n] if j not in held_out), None)
     filler_item = next((j for j in state.items[2 * n:] if j not in held_out), None)
     if bag_item is not None and filler_item is not None:
-        cands["open_pair"] = (4 * num * (raw(bag_item) + raw(filler_item)), 3 * den)
+        cands["open_pair"] = (lhs * (raw(bag_item) + raw(filler_item)), rhs)
     # A memo entry lives as long as its layout and her scale, so it is hers here.
     prof = state.memo.get("verdicts", {}).get(agent) or profile_agent(state, agent)
     if prof.low_bags > 0:
-        lhs, rhs = state.cross_terms(agent, SPARE_PER_LOW_BAG)
-        cands["bag_deficit"] = (prof.spare * lhs, rhs * prof.low_bags)
+        spare_lhs, spare_rhs = state.cross_terms(agent, SPARE_PER_LOW_BAG)
+        cands["bag_deficit"] = (prof.spare * spare_lhs, spare_rhs * prof.low_bags)
     return cands
 
 
@@ -170,38 +170,25 @@ def update_upper_bound(
     return alpha
 
 
-def _reduce_with_updates(
-    state: ReductionState, emit: Callable[..., None]
-) -> tuple[ReductionState, int]:
+def _reduce_with_updates(state: ReductionState, emit: Callable[..., None]) -> None:
     """The reduction phase of ``solve_poly34``: fixed removals, then
     tentative ones, and while some agent's bag profile proves her working
-    bound too high, roll back to the clone taken at the first tentative
-    removal (none if nothing was removed; the held items come from the log),
-    rescale the first such agent's row by the tightest certified bound and
-    rerun both phases.  Returns the final state and its update-loop count.
+    bound too high, roll the tentative phase back in place to the mark taken
+    before it (the held items come from the log), rescale the first such
+    agent's row by the tightest certified bound and rerun both phases.
+    Each update-loop iteration emits one ``rescale``.
 
     The state is fresh, so it holds every active agent and the cap is
-    ``iteration_cap`` of the active count; its hook is ``emit``.
+    ``iteration_cap`` of the active count.
     """
     count = len(state.agents)
     cap = iteration_cap(count)
     iterations = 0
-
-    def snap(event: str, fields: dict, live: ReductionState) -> None:
-        # The snapshot shares the memo: the first removal rebinds the state's
-        # own, so the snapshot keeps only what was found at its layout.
-        nonlocal snapshot
-        if snapshot is None:
-            snapshot = live.clone()
-            snapshot.memo = live.memo
-        emit(event, fields, live)
-
     while True:
         reduce_fixed(state)
         emit("fixed_phase_done", state=state)
-        snapshot, state.observer = None, snap
+        mark = state.mark()
         reduce_tentative(state)
-        state.observer = emit
         target = next(agents_needing_rescale(state), None)
         if target is None:
             break
@@ -210,13 +197,12 @@ def _reduce_with_updates(
             raise InvariantViolation(
                 f"rescale loop passed {cap} iterations for {count} agents"
             )
-        state, held = (state, set()) if snapshot is None else undo_tentative(state, snapshot)
+        held = undo_tentative(state, mark)
         emit("undo_tentative")
         bound = update_upper_bound(state, target, held)
         state.scale_row(target, 1 / bound)
         emit("rescale", {"agent": target, "bound": str(bound)})
     emit("finalize_tentative")
-    return state, iterations
 
 
 def _compose_allocation(
@@ -261,7 +247,7 @@ def _solve(
     inst: Instance,
     dropped: list[int],
     normalize: Callable[[OrderedView, list[int]], dict[int, tuple[int, int]]],
-    reduce: Callable[[ReductionState, Callable[..., None]], tuple[ReductionState, int]],
+    reduce: Callable[[ReductionState, Callable[..., None]], object],
     alpha: Fraction,
     shares: list[int] | None,
     observer: Callable[[str, dict], None] | None,
@@ -271,8 +257,8 @@ def _solve(
     ``dropped`` lists the agents the empty bundle satisfies, in the order
     their removals are reported; everyone else is active.  ``normalize``
     gives each active agent a starting scale, they go through the ``reduce``
-    phase (which returns the final state and its update-loop iteration
-    count), and whoever is left gets a bag filled to ``alpha``.
+    phase (which works on the state in place and emits one ``rescale`` per
+    update-loop iteration), and whoever is left gets a bag filled to ``alpha``.
     ``shares`` are the exact shares of the rows at the full agent count when
     the caller has them; they give ``per_agent_ratio``.  Without them, rows are
     renormalized to the agent count after every removal.
@@ -300,10 +286,9 @@ def _solve(
         view, active, normalize(view, active), renormalize=shares is None
     )
     state.observer = emit
-    iterations = 0
     if active:
         # With nobody active there is nothing to reduce, and no phase to report.
-        state, iterations = reduce(state, emit)
+        reduce(state, emit)
     fills = fill_bags(state, alpha)
     for row in fills.trace:
         emit("bag_round", row)
@@ -322,6 +307,7 @@ def _solve(
             None if mu == 0 else Fraction(sum(inst.rows[i][j] for j in alloc.bundles[i]), mu)
             for i, mu in enumerate(shares)
         )
+    iterations = sum(r["event"] == "rescale" for r in records)
     stats = SolveStats(iterations, fixed, tentative, bag_rounds, ratios, tuple(records))
     return alloc, stats
 
@@ -380,7 +366,7 @@ def solve_existence(
         inst,
         dropped,
         lambda view, active: normalize_mms(shares),
-        reduce=lambda state, emit: (reduce_all_shapes(state, alpha), 0),
+        reduce=lambda state, emit: reduce_all_shapes(state, alpha),
         alpha=alpha,
         shares=first_pass,
         observer=observer,

@@ -167,21 +167,20 @@ def test_rescale_scan_stops_at_first_hit(monkeypatch):
     st.scale_row(1, Fraction(1, 2))
     assert tuple(agents_needing_rescale(st)) == (0, 2)
     assert profiled == [1]
-    # a clone profiles afresh; a snapshot that shares the memo, as the update
-    # loop makes it, profiles nobody, while a plain clone handed to
-    # undo_tentative profiles everyone
+    # a clone profiles afresh; an undo with nothing past its mark keeps the
+    # memo and profiles nobody, while one that rolls back a removal starts a
+    # new memo and profiles everyone
     profiled.clear()
     assert tuple(agents_needing_rescale(st.clone())) == (0, 2)
     assert profiled == [0, 1, 2]
     profiled.clear()
-    shared = st.clone()
-    shared.memo = st.memo
-    snapshot, held = undo_tentative(st, shared)
-    assert held == set()
-    assert tuple(agents_needing_rescale(snapshot)) == (0, 2)
+    mark = st.mark()
+    assert undo_tentative(st, mark) == set()
+    assert tuple(agents_needing_rescale(st)) == (0, 2)
     assert profiled == []
-    snapshot, _ = undo_tentative(st, st.clone())
-    assert tuple(agents_needing_rescale(snapshot)) == (0, 2)
+    apply_reduction(st, 2, (0,), "tentative", "top", alpha=Fraction(0))
+    assert undo_tentative(st, mark) == {0}
+    assert tuple(agents_needing_rescale(st)) == (0, 2)
     assert profiled == [0, 1, 2]
 
 

@@ -1,5 +1,6 @@
 """Removal phases: candidate bundles, eligibility, application, undo."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from test_update_loop_family import SEEDS, loop_family
 import mmsalloc.reduction as reduction_mod
 import mmsalloc.solver as solver_mod
 from mmsalloc.errors import InvariantViolation
+from mmsalloc.jsonio import allocation_to_json, dump_json
 from mmsalloc.model import make_instance, order_instance
 from mmsalloc.reduction import (
     DEFAULT_ALPHA,
@@ -196,29 +198,29 @@ def test_undo_tentative_restores_state():
     a = [700, 500, 400, 340, 250, 250, 150, 150, 100, 80, 50, 20, 10]
     b = [740, 740, 375, 374, 372, 372, 5, 5, 5, 5, 5, 1, 1]
     st_ = state_from_rows([a, b, [1] * 13])
-    before = state_key(st_)
-    snapshot = st_.clone()
+    before = state_key(st_), dict(st_.totals), dict(st_.scale)
+    mark = st_.mark()
     reduce_tentative(st_)
-    assert state_key(st_) != before
-    st_, _ = undo_tentative(st_, snapshot)
-    assert state_key(st_) == before
-    assert st_.log == []
+    assert state_key(st_) != before[0]
+    undo_tentative(st_, mark)
+    assert (state_key(st_), st_.totals, st_.scale) == before
+    assert st_.log == [] and st_.memo == {}
 
 
 def test_undo_restores_totals_after_a_survivor_renormalized():
     # agent 2 was scaled down, then renormalized by each tentative removal;
-    # the undo brings back her scale and every total from the snapshot
+    # the undo brings back her scale from the mark and every total from the rows
     a = [700, 500, 400, 340, 250, 250, 150, 150, 100, 80, 50, 20, 10]
     b = [740, 740, 375, 374, 372, 372, 5, 5, 5, 5, 5, 1, 1]
     st_ = state_from_rows([a, b, [1] * 13])
     st_.scale_row(2, Fraction(1, 2))
     before, totals = state_key(st_), dict(st_.totals)
-    snapshot = st_.clone()
+    mark = st_.mark()
     reduce_tentative(st_)
     assert st_.agents == [2]
     assert st_.bundle_value(2, st_.items) == 1
     assert_totals(st_)
-    st_, _ = undo_tentative(st_, snapshot)
+    undo_tentative(st_, mark)
     assert (state_key(st_), st_.totals) == (before, totals)
     assert st_.bundle_value(2, st_.items) == Fraction(3, 2)
     assert_totals(st_)
@@ -309,15 +311,15 @@ def test_fixed_reductions_are_valid_reductions(data):
             DEFAULT_ALPHA,
         )
     # the tentative phase keeps the totals at each removal, and its undo
-    # restores them with the snapshot
+    # restores them, the scales and the log at the mark
     fixed_count = len(snapshots)
-    before = state_key(st_), dict(st_.totals)
-    snapshot = st_.clone()
+    before = state_key(st_), dict(st_.totals), dict(st_.scale), list(st_.log)
+    mark = st_.mark()
     reduce_tentative(st_)
     for state in [snap["state"] for snap in snapshots[fixed_count:]] + [st_]:
         assert_totals(state)
-    st_, _ = undo_tentative(st_, snapshot)
-    assert (state_key(st_), st_.totals) == before
+    undo_tentative(st_, mark)
+    assert (state_key(st_), st_.totals, st_.scale, st_.log) == before
     assert_totals(st_)
 
 
@@ -340,7 +342,8 @@ BOOKKEEPING_CASES = {
 def test_survivor_bookkeeping_after_every_removal(name, monkeypatch):
     # After each removal every survivor's total is her raw sum over the items
     # and, in a renormalizing state, her scale is the agent count over it;
-    # each undo holds out exactly the items its snapshot has and she lacks.
+    # each undo holds out exactly the items it puts back, and returns the
+    # state to its mark's log length and scales.
     removals, helds = [], []
     apply, undo = reduction_mod.apply_reduction, solver_mod.undo_tentative
 
@@ -354,12 +357,14 @@ def test_survivor_bookkeeping_after_every_removal(name, monkeypatch):
         removals.append(len(state.log))
         return state
 
-    def checked_undo(state, snapshot):
-        gone = set(snapshot.items) - set(state.items)
-        restored, held = undo(state, snapshot)
-        assert held == gone and restored is snapshot
+    def checked_undo(state, mark):
+        kept = set(state.items)
+        held = undo(state, mark)
+        assert held == set(state.items) - kept
+        assert (len(state.log), state.scale) == mark
+        assert_totals(state)
         helds.append(held)
-        return restored, held
+        return held
 
     monkeypatch.setattr(reduction_mod, "apply_reduction", checked_apply)
     monkeypatch.setattr(solver_mod, "undo_tentative", checked_undo)
@@ -368,6 +373,33 @@ def test_survivor_bookkeeping_after_every_removal(name, monkeypatch):
         monkeypatch.setattr(solver_mod, "agents_needing_rescale", lambda state: iter(next(asks, [])))
     _, stats = solve_poly34(BOOKKEEPING_CASES[name]())
     assert len(removals) >= stats.fixed_assignments + stats.tentative_assignments
-    # Only the forced case rolls back a removal: elsewhere every round's
-    # tentative phase removed nothing, so no snapshot was taken.
-    assert all(helds) and bool(helds) == (name == "forced_undo")
+    # Every round ends in an undo, but only the forced case rolls back a
+    # removal: elsewhere every round's tentative phase removed nothing.
+    assert len(helds) == stats.update_loop_iterations
+    assert any(helds) == (name == "forced_undo")
+
+
+# sha256 of each forced rollback's envelope, pinned from the solver that
+# rolled back by restoring a clone taken at the first tentative removal.
+FORCED_UNDO_DIGESTS = {
+    0: "b2e71d8dc2bbabc69005b64ae512af50612893cda85a5c9ec0b34fb5af427b19",
+    1: "76cd988cde6361b45f62c070cf220bfa233952390fb1a84834b78c09440737c1",
+    2: "7492ac3799f54cb80d5b58f5a286eed326c008acd899f1fab96286883b3e2d36",
+}
+
+
+@pytest.mark.parametrize("agent", sorted(FORCED_UNDO_DIGESTS))
+def test_forced_rollback_envelopes_are_pinned(agent, monkeypatch):
+    # A stand-in scan asks once to rescale ``agent``: the loop rolls back
+    # agent 0's top_tail removal and the removals it unlocked, and the
+    # envelope, events included, is byte for byte the pinned one.
+    asks = iter([[agent]])
+    monkeypatch.setattr(solver_mod, "agents_needing_rescale", lambda state: iter(next(asks, [])))
+    alloc, stats = solve_poly34(make_instance(FORCED_UNDO_ROWS))
+    events = [e["event"] for e in stats.events]
+    undone = stats.events[:events.index("undo_tentative")]
+    assert stats.update_loop_iterations == 1
+    assert {"event": "reduce", "agent": 0, "bundle": [0, 6], "kind": "tentative",
+            "shape": "top_tail"} in undone
+    envelope = dump_json(allocation_to_json(alloc, stats))
+    assert hashlib.sha256(envelope.encode()).hexdigest() == FORCED_UNDO_DIGESTS[agent]

@@ -1,22 +1,21 @@
 """The update loop's memo: what it keeps never changes what the solver does.
 
 A state keeps a memo of profile verdicts and of removal passes that found
-no taker.  An entry lasts until a removal rebinds the memo to a new dict or
-a rescale of its agent rebinds it to a copy without her entries.  A clone
-starts with an empty one; the update loop gives its snapshot the live memo,
-which the live state leaves behind at its first tentative removal.  Here
-every scan the update loop makes is checked against a fresh profile of
-every agent, on the loop family's pinned seeds and on near-threshold rows
-at n = 20 and 40; the profile and threshold-test counts of the benchmark's
-near instance are pinned, and so are the clones and undos a solve makes
-(one snapshot at the first tentative removal, none when nothing is removed)
-and what an observer sees; a rerun from a snapshot, or another solve, must
-not see verdicts it did not make; an edited copy, an observer's or a plain
-clone, changes nothing its parent does; a removal pass after a rescale
-tests only the rescaled agent; and so does the rerun's first fixed pass
-after an undone tentative removal.  Random rescales, removals and
-memo-sharing clones never make a state scan or remove otherwise than a
-memo-free one.
+no taker.  An entry lasts until a removal or an undo that puts something
+back rebinds the memo to a new dict, or a rescale of its agent drops her
+entries.  A clone starts with an empty one; the update loop makes none, as
+it rolls a tentative phase back in place to a mark.  Here every scan the
+update loop makes is checked against a fresh profile of every agent, on
+the loop family's pinned seeds and on near-threshold rows at n = 20 and
+40; the profile and threshold-test counts of the benchmark's near instance
+are pinned, and so are the clones and rollbacks a solve makes (none without
+an observer) and what an observer sees; a rerun from a clone, or another
+solve, must not see verdicts it did not make; an edited copy, an
+observer's or a plain clone, changes nothing its parent does; a removal
+pass after a rescale tests only the rescaled agent, while the rerun after
+an undone tentative removal starts a fresh pass.  Random rescales,
+removals and undone tentative removals never make a state scan or remove
+otherwise than a memo-free one.
 """
 
 import hashlib
@@ -39,6 +38,7 @@ from mmsalloc.reduction import (
     candidate_bundles,
     reduce_fixed,
     reduce_tentative,
+    undo_tentative,
 )
 from mmsalloc.solver import normalize_average, solve_poly34
 
@@ -79,7 +79,8 @@ def test_cached_scan_matches_fresh_profiles_on_near_rows(n, seed, monkeypatch):
 
 
 def count_copies(monkeypatch):
-    # Every ReductionState.clone and every undo_tentative the solver makes.
+    # Every ReductionState.clone the solver makes, and every undo_tentative
+    # that rolls a removal back.
     clones, undos = [], []
     clone, undo = ReductionState.clone, solver_mod.undo_tentative
 
@@ -87,9 +88,10 @@ def count_copies(monkeypatch):
         clones.append(self)
         return clone(self)
 
-    def counted_undo(state, snapshot):
-        undos.append(snapshot)
-        return undo(state, snapshot)
+    def counted_undo(state, mark):
+        if len(state.log) > mark[0]:
+            undos.append(mark)
+        return undo(state, mark)
 
     monkeypatch.setattr(ReductionState, "clone", counted_clone)
     monkeypatch.setattr(solver_mod, "undo_tentative", counted_undo)
@@ -127,13 +129,14 @@ def test_near_instance_profiles_each_agent_about_once(monkeypatch):
     assert [e["event"] for e in stats.events].count("undo_tentative") == 11
 
 
-def test_a_kept_tentative_removal_costs_one_clone(monkeypatch):
-    # removal_heavy(0) keeps its one tentative removal: the snapshot taken at
-    # that removal is the solve's only clone, and nothing is rolled back.
+def test_a_kept_tentative_removal_costs_no_clone(monkeypatch):
+    # removal_heavy(0) keeps its one tentative removal: the mark before the
+    # phase copies only the scales, so the solve makes no clone and rolls
+    # nothing back.
     clones, undos = count_copies(monkeypatch)
     _, stats = solve_poly34(removal_heavy(0))
     assert (stats.update_loop_iterations, stats.tentative_assignments) == (0, 1)
-    assert (len(clones), len(undos)) == (1, 0)
+    assert (len(clones), len(undos)) == (0, 0)
 
 
 def test_an_observer_sees_the_same_events_and_states():
@@ -247,13 +250,13 @@ def test_removal_pass_retests_only_rescaled_agents(monkeypatch):
     assert [(r.agent, r.shape) for r in st.log][:1] == [(2, "top")]
 
 
-def test_rerun_after_an_undone_removal_tests_only_the_rescaled_agent(monkeypatch):
+def test_rerun_after_an_undone_removal_starts_a_fresh_pass(monkeypatch):
     # The fixed phase finds no taker; then agent 0 takes the top_tail bundle
     # and the tentative phase goes on to remove everyone.  A stand-in scan
-    # asks once to rescale agent 1.  The snapshot kept the memo from before
-    # the first tentative removal, the fixed phase's no-taker record included,
-    # so the rerun's first fixed pass tests agent 1 alone, and she takes the
-    # tail triple that her new bound puts at exactly 3/4.
+    # asks once to rescale agent 1.  The undo starts a new memo, so the
+    # fixed phase's no-taker record is gone and the rerun's first fixed pass
+    # tests every agent again, until agent 1 takes the tail triple that her
+    # new bound puts at exactly 3/4.
     near = [7000, 7000, 3700, 3700, 3700, 3700, 96] + [92] * 12
     top_tail = [7400, 7400, 3700, 3700, 3600, 3600, 100] + [100] * 5 + [0] * 7
     scans = []
@@ -281,32 +284,45 @@ def test_rerun_after_an_undone_removal_tests_only_the_rescaled_agent(monkeypatch
     assert stats.update_loop_iterations == 1
     cut = trail.index("rescale")
     assert (0, "tentative", "top_tail") in trail[:cut]
-    # Three shapes tested, then apply_reduction's own check of her bundle.
-    assert trail[cut + 1:cut + 6] == [1, 1, 1, 1, (1, "fixed", "tail_triple")]
+    # Three shapes tested in agent order, then apply_reduction's own check of
+    # her bundle.
+    assert trail[cut + 1:cut + 11] == [0, 1, 2, 0, 1, 2, 0, 1, 1, (1, "fixed", "tail_triple")]
 
 
-def sharing_clone(state):
-    # The update loop's snapshot: a clone that keeps its parent's memo.
+def carrying_clone(state):
+    # A clone that starts from a copy of its parent's memo, so a removal pass
+    # on it reads what the parent kept and writes nothing back.
     twin = state.clone()
-    twin.memo = state.memo
+    twin.memo = {key: seen.copy() for key, seen in state.memo.items()}
     return twin
 
 
-def states_agree_with_fresh_ones(state):
+def state_agrees_with_a_fresh_one(state):
     # The memo-free answers: every agent profiled, and a removal pass on a
-    # clone, which starts with an empty memo.
+    # plain clone, which starts with an empty memo.
     fresh = tuple(a for a in state.agents if profile_agent(state, a).needs_rescale)
     assert tuple(agents_needing_rescale(state)) == fresh
-    assert reduce_fixed(sharing_clone(state)).log == reduce_fixed(state.clone()).log
+    assert reduce_fixed(carrying_clone(state)).log == reduce_fixed(state.clone()).log
+
+
+def bookkeeping(state):
+    return list(state.agents), list(state.items), dict(state.totals), dict(state.scale), list(state.log)
+
+
+def remove_any(data, state, kind):
+    bundle = data.draw(st.sampled_from([b for b in candidate_bundles(state) if b] or [()]))
+    agent = data.draw(st.sampled_from(state.agents))
+    apply_reduction(state, agent, bundle, kind, "top", alpha=Fraction(0))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_memo_never_serves_a_stale_verdict(data):
-    # The update loop's moves in any order, on either copy: a rescale (of an
-    # agent that needs one, when some does), a removal, and a clone that
-    # shares its parent's memo.  After each, every state scans and removes
-    # as a memo-free one does, reading in both orders what the others wrote.
+    # The update loop's moves in any order: a rescale (of an agent that needs
+    # one, when some does), a removal, and a tentative phase of 0-3 removals
+    # that is undone, which restores the state at its mark.  After each move,
+    # and after each tentative removal, the state scans and removes as a
+    # memo-free one does.
     n = data.draw(st.integers(2, 5))
     m = data.draw(st.integers(1, 4 * n))
     row = st.lists(st.integers(0, 60), min_size=m, max_size=m).filter(any)
@@ -314,24 +330,25 @@ def test_memo_never_serves_a_stale_verdict(data):
     view = order_instance(make_instance(rows))
     agents = range(n)
     state = ReductionState.from_instance(view, agents, normalize_average(view, agents), data.draw(st.booleans()))
-    states = [state, sharing_clone(state)]
-    for each in states:
-        states_agree_with_fresh_ones(each)
+    state_agrees_with_a_fresh_one(state)
     for _ in range(8):
-        state = data.draw(st.sampled_from(states))
         if not state.agents:
-            continue
-        step = data.draw(st.sampled_from(["scale", "remove", "clone"]))
+            break
+        step = data.draw(st.sampled_from(["scale", "remove", "undo"]))
         if step == "scale":
             den = data.draw(st.integers(1, 8))
             factor = Fraction(den + data.draw(st.integers(1, den)), den)
             needing = [a for a in state.agents if profile_agent(state, a).needs_rescale]
             state.scale_row(data.draw(st.sampled_from(needing or state.agents)), factor)
         elif step == "remove":
-            bundle = data.draw(st.sampled_from([b for b in candidate_bundles(state) if b] or [()]))
-            agent = data.draw(st.sampled_from(state.agents))
-            apply_reduction(state, agent, bundle, "fixed", "top", alpha=Fraction(0))
+            remove_any(data, state, "fixed")
         else:
-            states.append(sharing_clone(state))
-        for each in states + states[::-1]:
-            states_agree_with_fresh_ones(each)
+            mark, before = state.mark(), bookkeeping(state)
+            for _ in range(data.draw(st.integers(0, 3))):
+                if not state.agents:
+                    break
+                remove_any(data, state, "tentative")
+                state_agrees_with_a_fresh_one(state)
+            undo_tentative(state, mark)
+            assert bookkeeping(state) == before
+        state_agrees_with_a_fresh_one(state)
