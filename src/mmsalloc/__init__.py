@@ -30,11 +30,7 @@ from .solver import (
     solve_existence,
     solve_poly34,
 )
-from .verify import (
-    VerifyReport,
-    check_alpha_mms,
-    check_valid_reduction,
-)
+from .verify import VerifyReport, check_alpha_mms
 
 __version__ = "0.1.0"
 
@@ -53,7 +49,6 @@ __all__ = [
     "VerifyReport",
     "as_rational",
     "check_alpha_mms",
-    "check_valid_reduction",
     "exact_mms",
     "gen_instance",
     "lift_allocation",

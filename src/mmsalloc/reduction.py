@@ -27,8 +27,11 @@ multiplies the pair and reduces it once, and a renormalization stores the
 agent count over her raw total, unreduced.  That total is summed once, with
 the row (``OrderedView.sums``), then reduced by each removal in one column
 pass.  Its memo is scratch for one layout: each removal starts a new one.
-One state lives through a whole solve.  A tentative phase is rolled back in
-place to the state's ``mark`` from before it, its log length and scales:
+A shape that finds no taker enters there, under the shape and threshold,
+the agents it tested, so the fixed and tentative phases test an agent on
+each shape once per layout and scale.  One state lives through a whole
+solve.  A tentative phase is rolled back in place to the state's ``mark``
+from before it, its log length and scales:
 ``undo_tentative`` puts back the agents and items of the later log records,
 re-sums the totals and starts a new memo.  The state reports each removal,
 before making it, through one optional hook that receives the event name,
@@ -249,22 +252,23 @@ def _greedy_loop(
     kind: str,
 ) -> ReductionState:
     # ``shapes`` is a prefix of SHAPES, so zipping keeps the priority order.
-    # A pass with no taker enters every agent it tested; ``scale_row`` drops the
-    # agent it rescales, so the next pass at this alpha retests only her.
+    # A shape with no taker enters every agent it tested under (shape, alpha):
+    # they fail that shape at this layout, whichever phase asks next, and
+    # ``scale_row`` drops the agent it rescales, so only she is retested.
     # The key holds alpha as ints, which hash in C; a Fraction hashes in Python.
-    key = (shapes, alpha.as_integer_ratio())
+    ratio = alpha.as_integer_ratio()
     while state.agents:
-        seen = state.memo.setdefault(key, {})
-        fresh = [*filterfalse(seen.__contains__, state.agents)] if seen else state.agents
         for shape, bundle in zip(shapes, candidate_bundles(state)):
             if not bundle:
                 continue
+            seen = state.memo.setdefault((shape, ratio), {})
+            fresh = [*filterfalse(seen.__contains__, state.agents)] if seen else state.agents
             agent = next((a for a in fresh if state.values_at_least(a, bundle, alpha)), None)
             if agent is not None:
                 apply_reduction(state, agent, bundle, kind, shape, alpha=alpha)
                 break
-        else:
             seen.update(dict.fromkeys(fresh, False))
+        else:
             break
     return state
 

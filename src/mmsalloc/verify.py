@@ -1,4 +1,4 @@
-"""Independent certification of allocations and solver state structure.
+"""Independent certification of allocations, and of nothing else.
 
 Everything here recomputes maximin shares from the original instance with
 the exact oracle, or takes them from a caller that did (``bench``, for
@@ -17,7 +17,6 @@ from fractions import Fraction
 from .errors import InputError
 from .model import Instance, Allocation
 from .oracle import exact_mms
-from .reduction import DEFAULT_ALPHA, FIXED_SHAPES, ReductionState, candidate_bundles
 
 
 @dataclass(frozen=True)
@@ -83,53 +82,3 @@ def check_alpha_mms(
         rows.append(VerifyAgent(i, Fraction(got, d), Fraction(mms, d), ratio, ok))
     return VerifyReport(alpha, tuple(rows), all(r.ok for r in rows))
 
-
-def check_valid_reduction(
-    inst: Instance, agent: int, bundle: tuple[int, ...], alpha: Fraction
-) -> bool:
-    """True iff removing (agent, bundle) from the instance is harmless:
-    the receiver gets at least alpha times her share, and no survivor's
-    share at the reduced agent count drops below her share at the full
-    count.  Both sides are computed with the exact oracle.  The bundle must
-    list distinct items of the instance (InputError otherwise)."""
-    if inst.n < 2:
-        raise InputError("a reduction check needs at least two agents")
-    if agent < 0 or agent >= inst.n:
-        raise InputError(f"agent {agent} out of range")
-    taken = set(bundle)
-    if len(taken) != len(bundle):
-        raise InputError("bundle repeats an item")
-    if not taken <= set(range(inst.m)):
-        raise InputError("bundle mentions items outside the instance")
-
-    row = inst.rows[agent]
-    if sum(row[j] for j in bundle) < alpha * exact_mms(row, inst.n).value:
-        return False
-
-    rest = [j for j in range(inst.m) if j not in taken]
-    for i, row in enumerate(inst.rows):
-        if i == agent:
-            continue
-        before = exact_mms(row, inst.n).value
-        after = exact_mms([row[j] for j in rest], inst.n - 1).value
-        if after < before:
-            return False
-    return True
-
-
-def corollary_violations(state: ReductionState) -> list[dict]:
-    """The structural bounds that must hold once no removal shape fires.
-
-    Three families per remaining agent, all strict: each agent values each
-    of the three fixed removal bundles of ``candidate_bundles`` (the best
-    item, the middle pair, the tail triple) under 3/4.  Returns one dict
-    per violated bound; empty means all bounds hold.
-    """
-    bundles = list(zip(FIXED_SHAPES, candidate_bundles(state)))
-    out: list[dict] = []
-    for a in state.agents:
-        for family, bundle in bundles:
-            value = state.bundle_value(a, bundle)
-            if not value < DEFAULT_ALPHA:
-                out.append({"agent": a, "family": family, "value": str(value)})
-    return out

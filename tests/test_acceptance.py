@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from audits import check_valid_reduction, corollary_violations
 from naive_oracle import naive_mms, scale_agent
 
 import mmsalloc.bags as bags_mod
@@ -41,11 +42,7 @@ from mmsalloc.solver import (
     solve_existence,
     solve_poly34,
 )
-from mmsalloc.verify import (
-    check_alpha_mms,
-    check_valid_reduction,
-    corollary_violations,
-)
+from mmsalloc.verify import check_alpha_mms
 
 SWEEP_SIZE = 1000
 NEAR_COUNT = 20

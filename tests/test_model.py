@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from audits import check_valid_reduction
 from naive_oracle import (
     fraction_rows,
     normalize_average_reference,
@@ -33,7 +34,7 @@ from mmsalloc.solver import (
     solve_existence,
     solve_poly34,
 )
-from mmsalloc.verify import check_alpha_mms, check_valid_reduction
+from mmsalloc.verify import check_alpha_mms
 
 
 def test_as_rational_accepts_exact_forms():

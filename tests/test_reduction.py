@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from audits import check_valid_reduction
 from naive_oracle import state_key
 from test_scale_digests import near_threshold, removal_heavy
 from test_update_loop_family import SEEDS, loop_family
@@ -28,7 +29,6 @@ from mmsalloc.reduction import (
     undo_tentative,
 )
 from mmsalloc.solver import normalize_average, solve_poly34
-from mmsalloc.verify import check_valid_reduction
 
 
 def state_from_rows(rows, renormalize=True):

@@ -1,21 +1,22 @@
 """The update loop's memo: what it keeps never changes what the solver does.
 
-A state keeps a memo of profile verdicts and of removal passes that found
-no taker.  An entry lasts until a removal or an undo that puts something
-back rebinds the memo to a new dict, or a rescale of its agent drops her
-entries.  A clone starts with an empty one; the update loop makes none, as
-it rolls a tentative phase back in place to a mark.  Here every scan the
-update loop makes is checked against a fresh profile of every agent, on
-the loop family's pinned seeds and on near-threshold rows at n = 20 and
-40; the profile and threshold-test counts of the benchmark's near instance
-are pinned, and so are the clones and rollbacks a solve makes (none without
-an observer) and what an observer sees; a rerun from a clone, or another
-solve, must not see verdicts it did not make; an edited copy, an
-observer's or a plain clone, changes nothing its parent does; a removal
-pass after a rescale tests only the rescaled agent, while the rerun after
-an undone tentative removal starts a fresh pass.  Random rescales,
-removals and undone tentative removals never make a state scan or remove
-otherwise than a memo-free one.
+A state keeps a memo of profile verdicts and, per removal shape, of the
+agents that fail it.  An entry lasts until a removal or an undo that puts
+something back rebinds the memo to a new dict, or a rescale of its agent
+drops her entries.  A clone starts with an empty one; the update loop
+makes none, as it rolls a tentative phase back in place to a mark.  Here
+every scan the update loop makes is checked against a fresh profile of
+every agent, on the loop family's pinned seeds and on near-threshold rows
+at n = 20 and 40; the profile and threshold-test counts of the benchmark's
+near instance are pinned, and so are the clones and rollbacks a solve
+makes (none without an observer) and what an observer sees; a rerun from
+a clone, or another solve, must not see verdicts it did not make; an
+edited copy, an observer's or a plain clone, changes nothing its parent
+does; a removal pass after a rescale tests only the rescaled agent, a
+tentative phase after a fixed one with no taker tests only "top_tail",
+while the rerun after an undone tentative removal starts a fresh pass.
+Random rescales, removals and undone tentative removals never make a state
+scan or remove otherwise than a memo-free one.
 """
 
 import hashlib
@@ -102,7 +103,11 @@ def test_near_instance_profiles_each_agent_about_once(monkeypatch):
     # The benchmark's near_instance(random.Random(1)): 50 agents, 11 rescales.
     # Every pass re-profiled all agents up to the first hit (370 profiles),
     # then a pass profiled only the rescaled agent, plus one per bound (72);
-    # now each bound reads the profile its scan kept.  Both counts are
+    # now each bound reads the profile its scan kept.  A removal pass tests an
+    # agent on a shape only when the memo does not already hold her failing
+    # it at this layout, so a tentative phase after a fixed one with no
+    # taker tests "top_tail" alone (244 threshold tests; a memo keyed on the
+    # whole shape tuple retested the fixed shapes, 427).  Both counts are
     # exact, so a memo that quietly tests more fails here.  No
     # tentative phase removes anything, so nothing is cloned or rolled back
     # (a snapshot before every tentative phase made 12 clones and 11 undos).
@@ -124,7 +129,7 @@ def test_near_instance_profiles_each_agent_about_once(monkeypatch):
     _, stats = solve_poly34(near_threshold(1, 50))
     assert stats.update_loop_iterations == 11
     assert len(calls) == 61
-    assert len(tested) == 427
+    assert len(tested) == 244
     assert (len(clones), len(undos)) == (0, 0)
     assert [e["event"] for e in stats.events].count("undo_tentative") == 11
 
@@ -248,6 +253,31 @@ def test_removal_pass_retests_only_rescaled_agents(monkeypatch):
     fresh = ReductionState(st.agents, st.items, st.rows, st.scale, True)
     assert reduce_fixed(st).log == reduce_fixed(fresh).log
     assert [(r.agent, r.shape) for r in st.log][:1] == [(2, "top")]
+
+
+def test_tentative_phase_after_a_fixed_one_with_no_taker_tests_only_top_tail(monkeypatch):
+    # The fixed phase enters every agent under each of its three shapes, so
+    # the tentative phase at the same layout and alpha tests the fourth alone
+    # until agent 1 takes it (then apply_reduction's own check of her bundle),
+    # and removes what a memo-free tentative phase removes.
+    rows = [[740, 740, 375, 373, 370, 370, 8, 8, 8, 8], [745, 745, 370, 370, 365, 365, 10, 10, 10, 10]]
+    view = order_instance(make_instance([rows[0], rows[1], rows[0]]))
+    st = ReductionState.from_instance(view, range(3), normalize_average(view, range(3)), True)
+    assert reduce_fixed(st).log == []
+    fresh = st.clone()
+    top_tail = candidate_bundles(st)[3]
+    tested = []
+    real = ReductionState.values_at_least
+
+    def counted(self, agent, items, alpha):
+        tested.append((agent, tuple(items)))
+        return real(self, agent, items, alpha)
+
+    monkeypatch.setattr(ReductionState, "values_at_least", counted)
+    reduce_tentative(st)
+    assert tested[:3] == [(0, top_tail), (1, top_tail), (1, top_tail)]
+    assert (st.log[0].agent, st.log[0].shape) == (1, "top_tail")
+    assert st.log == reduce_tentative(fresh).log
 
 
 def test_rerun_after_an_undone_removal_starts_a_fresh_pass(monkeypatch):

@@ -15,11 +15,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from audits import corollary_violations
 
 from mmsalloc.jsonio import allocation_to_json, dump_json
 from mmsalloc.model import make_instance
 from mmsalloc.solver import iteration_cap, solve_poly34
-from mmsalloc.verify import check_alpha_mms, corollary_violations
+from mmsalloc.verify import check_alpha_mms
 
 UNIT = 10**4  # one agent's average value
 

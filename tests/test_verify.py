@@ -3,17 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from audits import check_valid_reduction, corollary_violations
 
 import mmsalloc.verify as verify_mod
 from mmsalloc.errors import InputError
 from mmsalloc.model import Allocation, make_instance, order_instance
 from mmsalloc.reduction import ReductionState
 from mmsalloc.solver import normalize_average, solve_poly34
-from mmsalloc.verify import (
-    check_alpha_mms,
-    check_valid_reduction,
-    corollary_violations,
-)
+from mmsalloc.verify import check_alpha_mms
 
 
 def make_state(rows):
